@@ -1,22 +1,22 @@
-// Microbenchmark of the inference stack, two comparisons deep:
-//  - the graph-free per-example engine vs the autograd evaluation path, at
-//    1/4/8 worker threads (the PR-5 speedup, tracked so it never regresses);
-//  - padding-free packed-batch inference (float and int8) vs the
-//    per-example engine, swept over batch sizes 1/8/64/512 with
-//    tokens-per-second throughput per path.
-// Correctness is checked while timing: the per-example engine must match
-// autograd exactly, and the packed float path must match the per-example
-// engine bit-for-bit (full logits, not just argmax). The three packed-sweep
-// paths run interleaved round-robin within one process so machine
-// throughput drift hits them equally. Each configuration emits one
-// machine-readable JSON row for CI trend tracking.
+// Microbenchmark of the inference engine (infer::PackedEngine), two
+// comparisons deep:
+//  - the engine run as one-member chunks (what Extract() does) vs the
+//    autograd evaluation path, at 1/4/8 calling threads;
+//  - padding-free packed batches (float and int8) vs one-member chunks,
+//    swept over batch sizes 1/8/64/512 with tokens-per-second per path.
+// Correctness is checked while timing: the engine must match autograd
+// exactly (labels while timing part 1; full logits, not just argmax,
+// before the sweep). The three sweep paths run interleaved round-robin
+// within one process so machine throughput drift hits them equally. Each
+// configuration emits one machine-readable JSON row for trend tracking.
 //
-// --smoke runs the batch-64 sweep only and turns three properties into
+// --smoke runs the batch-64 sweep only and turns four properties into
 // hard CHECKs (CI runs this on every push):
-//  - packed float logits bit-identical to the per-example engine;
-//  - packed int8 throughput >= 1.5x the per-example engine at batch 64;
+//  - packed float logits bit-identical to the autograd evaluation path;
+//  - packed int8 throughput >= 1.05x packed float at batch 64;
 //  - int8 extraction F1 within 0.5 points of float on a held-out split
-//    (same trained weights via Save/Load).
+//    (same trained weights via Save/Load);
+//  - int8 ExtractAll() records identical to per-objective int8 Extract().
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -32,7 +32,6 @@
 #include "data/generator.h"
 #include "eval/table.h"
 #include "eval/timer.h"
-#include "infer/engine.h"
 #include "infer/packed.h"
 #include "nn/transformer.h"
 #include "runtime/stats.h"
@@ -65,6 +64,12 @@ std::vector<const std::vector<int32_t>*> Ptrs(
   return ptrs;
 }
 
+/// The engine's labels for one sequence, as a one-member chunk.
+std::vector<int32_t> PredictOne(const infer::PackedEngine& engine,
+                                const std::vector<int32_t>& ids) {
+  return std::move(engine.PredictBatch({&ids})[0]);
+}
+
 /// Runs `predict` over the traffic partitioned across `threads` workers and
 /// returns wall-clock seconds.
 template <typename Predict>
@@ -89,43 +94,39 @@ double TimedRun(const std::vector<std::vector<int32_t>>& traffic,
   return timer.Seconds();
 }
 
-/// CHECKs that the packed float engine reproduces the per-example engine
-/// bit-for-bit on `batch`: per-token labels and full logits.
-void CheckPackedBitIdentity(const infer::Engine& engine,
+/// CHECKs that the packed float engine reproduces the autograd evaluation
+/// path bit-for-bit on `batch`: per-token labels and full logits.
+void CheckPackedBitIdentity(const nn::TokenClassifier& model,
                             const infer::PackedEngine& packed,
                             const std::vector<std::vector<int32_t>>& batch) {
   std::vector<std::vector<int32_t>> labels = packed.PredictBatch(Ptrs(batch));
   for (size_t i = 0; i < batch.size(); ++i) {
-    GOALEX_CHECK_MSG(labels[i] == engine.PredictTokens(batch[i]),
-                     "packed float labels diverge from per-example engine");
+    GOALEX_CHECK_MSG(labels[i] == model.Predict(batch[i]),
+                     "packed float labels diverge from autograd");
   }
-  std::unique_ptr<infer::ExecutionContext> ctx = engine.NewContext();
   std::vector<infer::PackedChunk> chunks = infer::PackByLength(
       Ptrs(batch), packed.max_seq_len(), packed.chunk_tokens());
   for (const infer::PackedChunk& chunk : chunks) {
     infer::PackedEngine::ChunkLogits logits = packed.ForwardChunk(chunk);
     for (int64_t s = 0; s < chunk.size(); ++s) {
-      const std::vector<int32_t>& ids = batch[chunk.sequence[s]];
-      tensor::TensorView ref = engine.Execute(ids, *ctx);
+      const tensor::Var ref = model.ForwardLogits(batch[chunk.sequence[s]]);
       const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-      GOALEX_CHECK(ref.rows() == t);
+      GOALEX_CHECK(ref->value().dim(0) == t);
       for (int64_t p = 0; p < t; ++p) {
         const float* got = logits.data + (chunk.offsets[s] + p) * logits.cols;
         for (int64_t j = 0; j < packed.num_labels(); ++j) {
-          GOALEX_CHECK_MSG(got[j] == ref.at(p, j),
-                           "packed float logits diverge from per-example "
-                           "engine");
+          GOALEX_CHECK_MSG(got[j] == ref->value().at(p, j),
+                           "packed float logits diverge from autograd");
         }
       }
     }
   }
 }
 
-/// One packed-sweep configuration: per-example engine vs packed float vs
+/// One packed-sweep configuration: one-member chunks vs packed float vs
 /// packed int8, interleaved rounds, tokens/sec per path. Returns the int8
-/// speedup over the per-example engine (the smoke-gated number).
-double RunPackedSweep(const nn::TokenClassifier& model,
-                      const infer::Engine& engine, size_t batch_size,
+/// speedup over packed float (the smoke-gated number).
+double RunPackedSweep(const nn::TokenClassifier& model, size_t batch_size,
                       Rng& rng, eval::TextTable& table) {
   infer::PackedEngine packed_float(model, infer::PackedEngineOptions{});
   infer::PackedEngineOptions int8_options;
@@ -144,23 +145,23 @@ double RunPackedSweep(const nn::TokenClassifier& model,
   // paths inside every round so throughput drift hits them equally.
   const int rounds = static_cast<int>(
       std::max<int64_t>(3, 200000 / std::max<int64_t>(1, batch_tokens)));
-  auto run_engine = [&] {
-    for (const auto& seq : batch) engine.PredictTokens(seq);
+  auto run_single = [&] {
+    for (const auto& seq : batch) PredictOne(packed_float, seq);
   };
   auto run_float = [&] { packed_float.PredictBatch(ptrs); };
   auto run_int8 = [&] { packed_int8.PredictBatch(ptrs); };
-  run_engine();  // Warm all three paths before timing.
+  run_single();  // Warm all three paths before timing.
   run_float();
   run_int8();
 
-  double engine_s = 0.0;
+  double single_s = 0.0;
   double float_s = 0.0;
   double int8_s = 0.0;
   for (int r = 0; r < rounds; ++r) {
     {
       eval::Timer timer;
-      run_engine();
-      engine_s += timer.Seconds();
+      run_single();
+      single_s += timer.Seconds();
     }
     {
       eval::Timer timer;
@@ -175,7 +176,7 @@ double RunPackedSweep(const nn::TokenClassifier& model,
   }
   const double tokens =
       static_cast<double>(batch_tokens) * static_cast<double>(rounds);
-  const double engine_tps = tokens / engine_s;
+  const double single_tps = tokens / single_s;
   const double float_tps = tokens / float_s;
   const double int8_tps = tokens / int8_s;
   auto fmt = [](double v, int precision) {
@@ -183,22 +184,23 @@ double RunPackedSweep(const nn::TokenClassifier& model,
     std::snprintf(buffer, sizeof(buffer), "%.*f", precision, v);
     return std::string(buffer);
   };
-  table.AddRow({std::to_string(batch_size), fmt(engine_tps, 0),
+  table.AddRow({std::to_string(batch_size), fmt(single_tps, 0),
                 fmt(float_tps, 0), fmt(int8_tps, 0),
-                fmt(float_tps / engine_tps, 2), fmt(int8_tps / engine_tps, 2)});
+                fmt(float_tps / single_tps, 2), fmt(int8_tps / float_tps, 2)});
   std::printf(
       "{\"bench\":\"micro_infer\",\"mode\":\"packed\",\"batch\":%zu,"
-      "\"rounds\":%d,\"engine_tokens_per_s\":%.0f,"
+      "\"rounds\":%d,\"single_tokens_per_s\":%.0f,"
       "\"packed_float_tokens_per_s\":%.0f,\"packed_int8_tokens_per_s\":%.0f,"
-      "\"float_speedup\":%.3f,\"int8_speedup\":%.3f}\n",
-      batch_size, rounds, engine_tps, float_tps, int8_tps,
-      float_tps / engine_tps, int8_tps / engine_tps);
-  return int8_tps / engine_tps;
+      "\"float_speedup\":%.3f,\"int8_over_float\":%.3f}\n",
+      batch_size, rounds, single_tps, float_tps, int8_tps,
+      float_tps / single_tps, int8_tps / float_tps);
+  return int8_tps / float_tps;
 }
 
 /// Trains a small float extractor, round-trips the weights through
 /// Save/Load into an int8-configured twin, and CHECKs that held-out
-/// extraction F1 moves by at most 0.5 points.
+/// extraction F1 moves by at most 0.5 points and that the twin's batch
+/// and per-objective paths agree record for record.
 void CheckInt8F1Parity() {
   // A properly converged (if scaled-down) model: the quantization budget
   // is only meaningful when the float logits are decisively separated — an
@@ -236,21 +238,34 @@ void CheckInt8F1Parity() {
   GOALEX_CHECK(int8_extractor.Load(dir.string()).ok());
   std::filesystem::remove_all(dir);
 
+  const std::vector<data::DetailRecord> int8_records =
+      int8_extractor.ExtractAll(eval_set);
   eval::Prf float_prf =
       Evaluate(eval_set, extractor.ExtractAll(eval_set),
                Corpus::kSustainabilityGoals);
   eval::Prf int8_prf =
-      Evaluate(eval_set, int8_extractor.ExtractAll(eval_set),
-               Corpus::kSustainabilityGoals);
+      Evaluate(eval_set, int8_records, Corpus::kSustainabilityGoals);
   const double delta = float_prf.f1 - int8_prf.f1;
+  size_t disagreements = 0;
+  for (size_t i = 0; i < eval_set.size(); ++i) {
+    if (int8_extractor.Extract(eval_set[i]).fields != int8_records[i].fields) {
+      ++disagreements;
+    }
+  }
   std::printf(
       "{\"bench\":\"micro_infer\",\"mode\":\"int8_f1\",\"float_f1\":%.4f,"
-      "\"int8_f1\":%.4f,\"delta\":%.4f}\n",
-      float_prf.f1, int8_prf.f1, delta);
+      "\"int8_f1\":%.4f,\"delta\":%.4f,"
+      "\"extract_vs_extract_all_disagreements\":%zu}\n",
+      float_prf.f1, int8_prf.f1, delta, disagreements);
   // The quantization budget: int8 may cost at most 0.5 F1 points.
   GOALEX_CHECK_MSG(delta <= 0.005 && delta >= -0.005,
                    "int8 extraction F1 diverged more than 0.5 points from "
                    "float");
+  // One engine behind every predict path: single and batch extraction
+  // must agree in int8 as they do in float.
+  GOALEX_CHECK_MSG(disagreements == 0,
+                   "int8 ExtractAll disagrees with per-objective int8 "
+                   "Extract()");
 }
 
 void Run(bool smoke) {
@@ -262,7 +277,7 @@ void Run(bool smoke) {
       extractor_config.BuildTransformerConfig(/*vocab_size=*/2800);
   Rng rng(13);
   nn::TokenClassifier model(config, /*num_labels=*/11, rng);
-  infer::Engine engine = infer::Engine::ForTokenClassifier(model);
+  infer::PackedEngine engine(model, infer::PackedEngineOptions{});
 
   std::printf("Microbenchmark: inference engine%s\n",
               smoke ? " (smoke)" : "");
@@ -277,34 +292,32 @@ void Run(bool smoke) {
   };
 
   if (!smoke) {
-    // Part 1: per-example engine vs autograd across thread counts.
+    // Part 1: one-member chunks vs autograd across calling threads.
     Rng traffic_rng(14);
     std::vector<std::vector<int32_t>> traffic =
         MakeTraffic(config, /*count=*/1500, traffic_rng);
     // Exactness first: every timed prediction pair must agree.
     for (const auto& ids : traffic) {
-      GOALEX_CHECK(engine.PredictTokens(ids) == model.Predict(ids));
+      GOALEX_CHECK(PredictOne(engine, ids) == model.Predict(ids));
     }
-    std::printf("engine vs autograd: %zu sequences (outputs identical)\n",
+    std::printf("engine vs autograd: %zu sequences (outputs identical)\n\n",
                 traffic.size());
-    std::printf("arena bytes per worker context: %zu\n\n",
-                engine.arena_bytes_per_context());
     eval::TextTable table({"Threads", "Autograd s", "Engine s",
                            "Autograd seq/s", "Engine seq/s", "Speedup"});
     for (int threads : {1, 4, 8}) {
-      // Warm both paths (page in weights, size thread-local arenas) so the
-      // timed region is steady-state.
+      // Warm both paths (page in weights) so the timed region is
+      // steady-state.
       TimedRun(traffic, threads,
                [&](const std::vector<int32_t>& ids) { model.Predict(ids); });
       double autograd_s = TimedRun(
           traffic, threads,
           [&](const std::vector<int32_t>& ids) { model.Predict(ids); });
       TimedRun(traffic, threads, [&](const std::vector<int32_t>& ids) {
-        engine.PredictTokens(ids);
+        PredictOne(engine, ids);
       });
       double engine_s = TimedRun(traffic, threads,
                                  [&](const std::vector<int32_t>& ids) {
-                                   engine.PredictTokens(ids);
+                                   PredictOne(engine, ids);
                                  });
       double speedup = autograd_s / engine_s;
       double n = static_cast<double>(traffic.size());
@@ -325,32 +338,29 @@ void Run(bool smoke) {
   // Part 2: packed-batch sweep. Bit-identity is checked before timing.
   {
     Rng check_rng(15);
-    infer::PackedEngine packed_float(model, infer::PackedEngineOptions{});
-    CheckPackedBitIdentity(engine, packed_float,
-                           MakeTraffic(config, 64, check_rng));
-    std::printf(
-        "packed float verified bit-identical to per-example engine\n\n");
+    CheckPackedBitIdentity(model, engine, MakeTraffic(config, 64, check_rng));
+    std::printf("packed float verified bit-identical to autograd\n\n");
   }
-  eval::TextTable packed_table({"Batch", "Engine tok/s", "Packed f32 tok/s",
-                                "Packed int8 tok/s", "f32 speedup",
-                                "int8 speedup"});
-  double int8_speedup_at_64 = 0.0;
+  eval::TextTable packed_table({"Batch", "Single tok/s", "Packed f32 tok/s",
+                                "Packed int8 tok/s", "f32 / single",
+                                "int8 / f32"});
+  double int8_over_float_at_64 = 0.0;
   Rng sweep_rng(16);
   const std::vector<size_t> batches =
       smoke ? std::vector<size_t>{64} : std::vector<size_t>{1, 8, 64, 512};
   for (size_t batch_size : batches) {
-    double int8_speedup =
-        RunPackedSweep(model, engine, batch_size, sweep_rng, packed_table);
-    if (batch_size == 64) int8_speedup_at_64 = int8_speedup;
+    double int8_over_float =
+        RunPackedSweep(model, batch_size, sweep_rng, packed_table);
+    if (batch_size == 64) int8_over_float_at_64 = int8_over_float;
   }
   std::printf("\n%s\n", packed_table.Render().c_str());
 
   if (smoke) {
-    // CI gate: packed int8 regressing below 1.5x the per-example engine at
-    // batch 64 means the padding-free path lost its reason to exist.
-    GOALEX_CHECK_MSG(int8_speedup_at_64 >= 1.5,
-                     "packed int8 inference regressed below 1.5x the "
-                     "per-example engine at batch 64");
+    // CI gate: int8 below 1.05x packed float at batch 64 means the
+    // quantized kernels lost their reason to exist.
+    GOALEX_CHECK_MSG(int8_over_float_at_64 >= 1.05,
+                     "packed int8 inference regressed below 1.05x packed "
+                     "float at batch 64");
     CheckInt8F1Parity();
   }
   EmitMetricsSnapshot("inference engine run");

@@ -75,25 +75,25 @@ void Run() {
               "records checked)\n\n",
               serial_records.size());
 
-  // Pipelined vs batch-map mode. ExtractAll is now a staged task graph
-  // (per-objective tokenize -> predict -> decode chains with cross-example
-  // stage overlap); the batch path below is the pre-refactor shape — one
-  // opaque Extract() task per objective on a BatchRunner map — still
-  // expressible and used here as the throughput baseline.
+  // Packed ExtractAll vs batch-map mode. ExtractAll tokenizes everything,
+  // then predicts length-packed chunks and decodes per objective on a task
+  // graph; the batch path below is the pre-refactor shape — one opaque
+  // Extract() task (one-member chunk) per objective on a BatchRunner map —
+  // still expressible and used here as the throughput baseline.
   runtime::BatchRunner batch_runner(parallel_threads);
   std::vector<data::DetailRecord> batch_records =
       batch_runner.Map<data::DetailRecord>(
           objectives.size(),
           [&](size_t i) { return extractor.Extract(objectives[i]); });
   const runtime::Stats batch = batch_runner.last_stats();
-  runtime::Stats pipelined;
-  std::vector<data::DetailRecord> pipelined_records =
-      extractor.ExtractAll(objectives, parallel_threads, &pipelined);
-  GOALEX_CHECK_EQ(batch_records.size(), pipelined_records.size());
+  runtime::Stats packed;
+  std::vector<data::DetailRecord> packed_records =
+      extractor.ExtractAll(objectives, parallel_threads, &packed);
+  GOALEX_CHECK_EQ(batch_records.size(), packed_records.size());
   for (size_t i = 0; i < batch_records.size(); ++i) {
-    GOALEX_CHECK(batch_records[i].fields == pipelined_records[i].fields);
+    GOALEX_CHECK(batch_records[i].fields == packed_records[i].fields);
   }
-  std::printf("pipelined ExtractAll output is identical to the batch map "
+  std::printf("packed ExtractAll output is identical to the batch map "
               "path (%zu records checked)\n\n",
               batch_records.size());
 
@@ -108,11 +108,11 @@ void Run() {
                          fmt_early(batch.seconds, 2),
                          fmt_early(batch.ItemsPerSecond(), 1),
                          fmt_early(batch.Utilization(), 2)});
-  pipeline_table.AddRow({"pipelined (staged graph)",
-                         std::to_string(pipelined.threads),
-                         fmt_early(pipelined.seconds, 2),
-                         fmt_early(pipelined.ItemsPerSecond(), 1),
-                         fmt_early(pipelined.Utilization(), 2)});
+  pipeline_table.AddRow({"packed ExtractAll (task graph)",
+                         std::to_string(packed.threads),
+                         fmt_early(packed.seconds, 2),
+                         fmt_early(packed.ItemsPerSecond(), 1),
+                         fmt_early(packed.Utilization(), 2)});
   std::printf("%s\n", pipeline_table.Render().c_str());
 
   weaksup::WeakLabeler labeler(&extractor.catalog(),

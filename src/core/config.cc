@@ -99,8 +99,6 @@ std::string ExtractorConfig::ToText() const {
       << "normalize_text=" << (normalize_text ? 1 : 0) << "\n"
       << "num_threads=" << num_threads << "\n"
       << "enable_metrics=" << (enable_metrics ? 1 : 0) << "\n"
-      << "use_inference_engine=" << (use_inference_engine ? 1 : 0) << "\n"
-      << "packed_inference=" << (packed_inference ? 1 : 0) << "\n"
       << "packed_chunk_tokens=" << packed_chunk_tokens << "\n"
       << "quantize_int8=" << (quantize_int8 ? 1 : 0) << "\n"
       << "segment_multi_target=" << (segment_multi_target ? 1 : 0) << "\n"
@@ -158,11 +156,12 @@ StatusOr<ExtractorConfig> ExtractorConfig::FromText(std::string_view text) {
       GOALEX_RETURN_IF_ERROR(ParseNumber(key, value, &config.num_threads));
     } else if (key == "enable_metrics") {
       GOALEX_RETURN_IF_ERROR(ParseBool(key, value, &config.enable_metrics));
-    } else if (key == "use_inference_engine") {
-      GOALEX_RETURN_IF_ERROR(
-          ParseBool(key, value, &config.use_inference_engine));
-    } else if (key == "packed_inference") {
-      GOALEX_RETURN_IF_ERROR(ParseBool(key, value, &config.packed_inference));
+    } else if (key == "use_inference_engine" || key == "packed_inference") {
+      // Retired engine-selection switches: model directories saved before
+      // the single inference engine still carry them. Validated, then
+      // ignored.
+      bool retired = false;
+      GOALEX_RETURN_IF_ERROR(ParseBool(key, value, &retired));
     } else if (key == "packed_chunk_tokens") {
       GOALEX_RETURN_IF_ERROR(
           ParseNumber(key, value, &config.packed_chunk_tokens));

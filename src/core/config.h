@@ -77,35 +77,22 @@ struct ExtractorConfig {
   /// entirely with -DGOALEX_DISABLE_METRICS; outputs never depend on it.
   bool enable_metrics = true;
 
-  /// Production inference strategy. When true (default), Predict runs on
-  /// the graph-free infer::Engine: a plan compiled once at Train()/Load()
-  /// completion, executed against per-thread scratch arenas with borrowed
-  /// weights. When false, Predict walks the autograd evaluation path. Both
-  /// paths produce bit-identical outputs (enforced by infer_parity_test);
-  /// the flag exists as an escape hatch and for A/B benchmarking.
-  bool use_inference_engine = true;
-
-  /// Packed-batch inference (DESIGN.md §14). When true (default, requires
-  /// use_inference_engine), batch extraction (`ExtractAll` and the serve
-  /// handler) buckets clauses by token length and runs each bucket as one
-  /// padding-free packed forward with streaming-softmax attention, instead
-  /// of N per-example plan executions. Float outputs stay bit-identical to
-  /// the per-example engine (enforced by infer_packed_test); single-clause
-  /// Extract() calls keep using the per-example plan either way.
-  bool packed_inference = true;
-
-  /// Packed-token capacity of one packed-inference bucket. Bounds peak
-  /// activation memory per predict node and sets the batch-fill metric's
-  /// denominator; a clause longer than this still runs, in an oversize
-  /// bucket of its own.
+  /// Packed-token capacity of one inference chunk (DESIGN.md §14): batch
+  /// extraction (`ExtractAll` and the serve handler) buckets clauses by
+  /// token length and runs each bucket as one padding-free packed forward.
+  /// Bounds peak activation memory per predict node and sets the
+  /// batch-fill metric's denominator; a clause longer than this still
+  /// runs, in an oversize bucket of its own.
   int32_t packed_chunk_tokens = 512;
 
-  /// Run packed-inference linear layers as int8 (per-output-channel weight
-  /// scales, per-row activation quantization, int32 accumulation —
-  /// tensor/qlinear.h). Roughly another ~1.2x on packed throughput, but
+  /// Run the inference engine's linear layers as int8 (per-output-channel
+  /// weight scales, per-row activation quantization, int32 accumulation —
+  /// tensor/qlinear.h). Roughly another ~1.1x on packed throughput, but
   /// outputs are no longer bit-identical to float: extraction F1 stays
   /// within 0.5 points (gated by bench_micro_infer --smoke). Off by
-  /// default; no effect unless packed_inference is on.
+  /// default. Applies to every predict path alike — Extract(),
+  /// ExtractAll() and ExtractBatch() — so they agree with each other in
+  /// either mode.
   bool quantize_int8 = false;
 
   /// Objective segmentation (Section 5.3 future work): at extraction time,

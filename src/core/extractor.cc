@@ -1,7 +1,6 @@
 #include "core/extractor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <sstream>
 
@@ -48,8 +47,6 @@ DetailExtractor::DetailExtractor(ExtractorConfig config)
     }
     metrics_.objectives_per_second =
         registry.GetGauge("extractor.objectives_per_second");
-    metrics_.staged_peak =
-        registry.GetGauge("extractor.pipeline.staged_peak");
   }
 }
 
@@ -200,12 +197,10 @@ Status DetailExtractor::Train(
       stats.epoch = epoch;
       stats.mean_train_loss = loss_sum / static_cast<double>(examples.size());
       stats.seconds = seconds;
-      // The callback may Extract(): make sure the engines exist. Adam
-      // updates weights in place, so the per-example plan's borrowed views
-      // stay current and it never needs recompiling — but the packed
-      // engine derives state (padded head, int8 codes) at build time, so
-      // while one exists it must be rebuilt on this epoch's fresh weights.
-      if (engine_ == nullptr || packed_engine_ != nullptr) RebuildEngine();
+      // The callback may Extract(). The engine derives state (padded head,
+      // int8 codes) from the weights at build time, so it is rebuilt on
+      // this epoch's fresh weights before every callback.
+      RebuildEngine();
       on_epoch_end(stats);
     }
   }
@@ -214,18 +209,12 @@ Status DetailExtractor::Train(
 }
 
 void DetailExtractor::RebuildEngine() {
-  engine_.reset();
-  packed_engine_.reset();
-  if (!config_.use_inference_engine) return;
   GOALEX_CHECK(model_ != nullptr);
-  engine_ = std::make_unique<infer::Engine>(
-      infer::Engine::ForTokenClassifier(*model_));
-  if (config_.packed_inference) {
-    infer::PackedEngineOptions options;
-    options.chunk_tokens = config_.packed_chunk_tokens;
-    options.quantize_int8 = config_.quantize_int8;
-    packed_engine_ = std::make_unique<infer::PackedEngine>(*model_, options);
-  }
+  engine_.reset();
+  infer::PackedEngineOptions options;
+  options.chunk_tokens = config_.packed_chunk_tokens;
+  options.quantize_int8 = config_.quantize_int8;
+  engine_ = std::make_unique<infer::PackedEngine>(*model_, options);
 }
 
 void DetailExtractor::TokenizeStage(const std::string& text,
@@ -251,10 +240,9 @@ void DetailExtractor::TokenizeStage(const std::string& text,
 void DetailExtractor::PredictStage(StagedClause& clause) const {
   obs::ScopedTimer predict_timer(
       InstrumentNow() ? metrics_.predict_seconds : nullptr);
-  // Engine and autograd paths are bit-identical (infer_parity_test); the
-  // engine is just graph-free and arena-backed.
-  clause.predictions = engine_ != nullptr ? engine_->PredictTokens(clause.ids)
-                                          : model_->Predict(clause.ids);
+  // A one-member chunk: every member of a packed chunk predicts exactly as
+  // it would alone, so this matches the batch path bit for bit.
+  clause.predictions = std::move(engine_->PredictBatch({&clause.ids})[0]);
 }
 
 void DetailExtractor::DecodeStage(StagedClause& clause) const {
@@ -422,164 +410,94 @@ std::vector<data::DetailRecord> DetailExtractor::ExtractBatchImpl(
   }
 
   // Pipeline state held between an objective's stage nodes; released at
-  // the decode node (its last use). On the chain path in-flight memory
-  // tracks executor concurrency, not corpus size — the LIFO own-queue runs
-  // chains depth-first instead of tokenizing everything before predicting.
-  // The packed path trades that bound away: packing needs every clause's
-  // tokens before it can form chunks, so all n objectives hold staged
-  // state between the tokenize barrier and their decode node.
+  // the decode node (its last use). Packing needs every clause's tokens
+  // before it can form chunks, so all n objectives hold staged state
+  // between the tokenize barrier and their decode node.
   struct StagedObjective {
     std::vector<std::string> clause_texts;
     std::vector<StagedClause> clauses;
   };
   std::vector<StagedObjective> staged(n);
-  std::atomic<int64_t> in_flight{0};
-  std::atomic<int64_t> staged_peak{0};
-
   const bool instrument = InstrumentNow();
 
-  if (packed_engine_ != nullptr) {
-    // Packed predict (DESIGN.md §14), two phases on one pool. Phase 1:
-    // tokenize every objective.
-    eval::Timer timer;
-    double busy = 0.0;
-    exec::Executor tokenize_executor(&pool);
-    {
-      exec::Graph tokenize_graph;
-      for (size_t i = 0; i < n; ++i) {
-        tokenize_graph.Add([this, i, &objectives, &staged, instrument] {
-          if (instrument) metrics_.objectives->Increment();
-          StagedObjective& obj = staged[i];
-          obj.clause_texts = ClauseTexts(objectives[i]->text);
-          obj.clauses.resize(obj.clause_texts.size());
-          for (size_t c = 0; c < obj.clause_texts.size(); ++c) {
-            TokenizeStage(obj.clause_texts[c], obj.clauses[c]);
-          }
-        });
-      }
-      GOALEX_CHECK_OK(tokenize_executor.Run(tokenize_graph));
-      busy += tokenize_executor.last_run().busy_seconds;
-    }
-
-    // Pack the non-empty clauses of the whole batch by token length.
-    // clause_seq[i][c] maps objective i's clause c to its slot in the
-    // packed submission (-1 = nothing to predict), owner maps a slot back
-    // to its objective.
-    std::vector<const std::vector<int32_t>*> sequences;
-    std::vector<std::vector<int64_t>> clause_seq(n);
-    std::vector<size_t> owner;
+  // Two phases on one pool (DESIGN.md §14). Phase 1: tokenize every
+  // objective.
+  eval::Timer timer;
+  double busy = 0.0;
+  exec::Executor tokenize_executor(&pool);
+  {
+    exec::Graph tokenize_graph;
     for (size_t i = 0; i < n; ++i) {
-      StagedObjective& obj = staged[i];
-      clause_seq[i].assign(obj.clauses.size(), -1);
-      for (size_t c = 0; c < obj.clauses.size(); ++c) {
-        if (obj.clauses[c].prediction.tokens.empty()) continue;
-        clause_seq[i][c] = static_cast<int64_t>(sequences.size());
-        sequences.push_back(&obj.clauses[c].ids);
-        owner.push_back(i);
-      }
+      tokenize_graph.Add([this, i, &objectives, &staged, instrument] {
+        if (instrument) metrics_.objectives->Increment();
+        StagedObjective& obj = staged[i];
+        obj.clause_texts = ClauseTexts(objectives[i]->text);
+        obj.clauses.resize(obj.clause_texts.size());
+        for (size_t c = 0; c < obj.clause_texts.size(); ++c) {
+          TokenizeStage(obj.clause_texts[c], obj.clauses[c]);
+        }
+      });
     }
-    const std::vector<infer::PackedChunk> chunks = infer::PackByLength(
-        sequences, packed_engine_->max_seq_len(),
-        packed_engine_->chunk_tokens());
-
-    // Phase 2: one predict node per chunk (scratch-leased, so the packed
-    // activations count into exec.scratch.peak_bytes and their arenas are
-    // reused across chunks), and one decode node per objective depending
-    // on exactly the chunks that carry its clauses.
-    std::vector<std::vector<int32_t>> labels(sequences.size());
-    exec::ScratchPool scratch_pool;
-    exec::Executor executor(&pool, &scratch_pool);
-    exec::Graph graph;
-    std::vector<std::vector<exec::NodeId>> deps(n);
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      const exec::NodeId predict = graph.Add(
-          [this, &chunks, ci, &labels] {
-            obs::ScopedTimer predict_timer(
-                InstrumentNow() ? metrics_.predict_seconds : nullptr);
-            packed_engine_->PredictChunk(chunks[ci], labels);
-          },
-          {}, exec::NodeOptions{.uses_scratch = true});
-      for (size_t s : chunks[ci].sequence) deps[owner[s]].push_back(predict);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<exec::NodeId>& d = deps[i];
-      std::sort(d.begin(), d.end());
-      d.erase(std::unique(d.begin(), d.end()), d.end());
-      graph.Add(
-          [this, i, &objectives, &staged, &out, &labels, &clause_seq] {
-            StagedObjective& obj = staged[i];
-            std::vector<data::DetailRecord> parts;
-            parts.reserve(obj.clauses.size());
-            const bool single = obj.clauses.size() == 1;
-            for (size_t c = 0; c < obj.clauses.size(); ++c) {
-              StagedClause& clause = obj.clauses[c];
-              if (!clause.prediction.tokens.empty()) {
-                clause.predictions = std::move(
-                    labels[static_cast<size_t>(clause_seq[i][c])]);
-                DecodeStage(clause);
-              }
-              data::Objective clause_obj;
-              clause_obj.id = objectives[i]->id;
-              // Single-target objectives decode against the original
-              // text, exactly like Extract().
-              clause_obj.text =
-                  single ? objectives[i]->text : obj.clause_texts[c];
-              parts.push_back(DecodeRecord(clause_obj, clause.prediction));
-            }
-            out[i] = MergeClauseRecords(*objectives[i], parts);
-            staged[i] = StagedObjective{};  // Last use: free staged state.
-          },
-          std::move(d));
-    }
-    GOALEX_CHECK_OK(executor.Run(graph));
-    busy += executor.last_run().busy_seconds;
-
-    run_stats.seconds = timer.Seconds();
-    run_stats.busy_seconds = busy;
-    if (stats != nullptr) *stats = run_stats;
-    if (instrument) {
-      metrics_.objectives_per_second->Set(run_stats.ItemsPerSecond());
-      // The tokenize barrier makes the whole batch the high-water mark.
-      metrics_.staged_peak->Set(static_cast<double>(n));
-    }
-    return out;
+    GOALEX_CHECK_OK(tokenize_executor.Run(tokenize_graph));
+    busy += tokenize_executor.last_run().busy_seconds;
   }
 
-  exec::Executor executor(&pool);
-  exec::Graph graph;
+  // Pack the non-empty clauses of the whole batch by token length.
+  // clause_seq[i][c] maps objective i's clause c to its slot in the packed
+  // submission (-1 = nothing to predict), owner maps a slot back to its
+  // objective.
+  std::vector<const std::vector<int32_t>*> sequences;
+  std::vector<std::vector<int64_t>> clause_seq(n);
+  std::vector<size_t> owner;
   for (size_t i = 0; i < n; ++i) {
-    const exec::NodeId tokenize = graph.Add([this, i, &objectives, &staged,
-                                             &in_flight, &staged_peak,
-                                             instrument] {
-      if (instrument) metrics_.objectives->Increment();
-      const int64_t now = in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
-      int64_t peak = staged_peak.load(std::memory_order_relaxed);
-      while (now > peak && !staged_peak.compare_exchange_weak(
-                               peak, now, std::memory_order_relaxed)) {
-      }
-      StagedObjective& obj = staged[i];
-      obj.clause_texts = ClauseTexts(objectives[i]->text);
-      obj.clauses.resize(obj.clause_texts.size());
-      for (size_t c = 0; c < obj.clause_texts.size(); ++c) {
-        TokenizeStage(obj.clause_texts[c], obj.clauses[c]);
-      }
-    });
+    StagedObjective& obj = staged[i];
+    clause_seq[i].assign(obj.clauses.size(), -1);
+    for (size_t c = 0; c < obj.clauses.size(); ++c) {
+      if (obj.clauses[c].prediction.tokens.empty()) continue;
+      clause_seq[i][c] = static_cast<int64_t>(sequences.size());
+      sequences.push_back(&obj.clauses[c].ids);
+      owner.push_back(i);
+    }
+  }
+  const std::vector<infer::PackedChunk> chunks = infer::PackByLength(
+      sequences, engine_->max_seq_len(), engine_->chunk_tokens());
+
+  // Phase 2: one predict node per chunk (scratch-leased, so the packed
+  // activations count into exec.scratch.peak_bytes and their arenas are
+  // reused across chunks), and one decode node per objective depending on
+  // exactly the chunks that carry its clauses.
+  std::vector<std::vector<int32_t>> labels(sequences.size());
+  exec::ScratchPool scratch_pool;
+  exec::Executor executor(&pool, &scratch_pool);
+  exec::Graph graph;
+  std::vector<std::vector<exec::NodeId>> deps(n);
+  for (size_t ci = 0; ci < chunks.size(); ++ci) {
     const exec::NodeId predict = graph.Add(
-        [this, i, &staged] {
-          for (StagedClause& clause : staged[i].clauses) {
-            if (!clause.prediction.tokens.empty()) PredictStage(clause);
-          }
+        [this, &chunks, ci, &labels] {
+          obs::ScopedTimer predict_timer(
+              InstrumentNow() ? metrics_.predict_seconds : nullptr);
+          engine_->PredictChunk(chunks[ci], labels);
         },
-        {tokenize});
+        {}, exec::NodeOptions{.uses_scratch = true});
+    for (size_t s : chunks[ci].sequence) deps[owner[s]].push_back(predict);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<exec::NodeId>& d = deps[i];
+    std::sort(d.begin(), d.end());
+    d.erase(std::unique(d.begin(), d.end()), d.end());
     graph.Add(
-        [this, i, &objectives, &staged, &out, &in_flight] {
+        [this, i, &objectives, &staged, &out, &labels, &clause_seq] {
           StagedObjective& obj = staged[i];
           std::vector<data::DetailRecord> parts;
           parts.reserve(obj.clauses.size());
           const bool single = obj.clauses.size() == 1;
           for (size_t c = 0; c < obj.clauses.size(); ++c) {
             StagedClause& clause = obj.clauses[c];
-            if (!clause.prediction.tokens.empty()) DecodeStage(clause);
+            if (!clause.prediction.tokens.empty()) {
+              clause.predictions =
+                  std::move(labels[static_cast<size_t>(clause_seq[i][c])]);
+              DecodeStage(clause);
+            }
             data::Objective clause_obj;
             clause_obj.id = objectives[i]->id;
             // Single-target objectives decode against the original text,
@@ -589,21 +507,18 @@ std::vector<data::DetailRecord> DetailExtractor::ExtractBatchImpl(
             parts.push_back(DecodeRecord(clause_obj, clause.prediction));
           }
           out[i] = MergeClauseRecords(*objectives[i], parts);
-          staged[i] = StagedObjective{};  // Last use: free staged buffers.
-          in_flight.fetch_sub(1, std::memory_order_relaxed);
+          staged[i] = StagedObjective{};  // Last use: free staged state.
         },
-        {predict});
+        std::move(d));
   }
+  GOALEX_CHECK_OK(executor.Run(graph));
+  busy += executor.last_run().busy_seconds;
 
-  Status status = executor.Run(graph);  // Rethrows stage exceptions.
-  GOALEX_CHECK_OK(status);              // Chains cannot form a cycle.
-  run_stats.seconds = executor.last_run().wall_seconds;
-  run_stats.busy_seconds = executor.last_run().busy_seconds;
+  run_stats.seconds = timer.Seconds();
+  run_stats.busy_seconds = busy;
   if (stats != nullptr) *stats = run_stats;
   if (instrument) {
     metrics_.objectives_per_second->Set(run_stats.ItemsPerSecond());
-    metrics_.staged_peak->Set(
-        static_cast<double>(staged_peak.load(std::memory_order_relaxed)));
   }
   return out;
 }

@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "core/config.h"
 #include "data/schema.h"
-#include "infer/engine.h"
 #include "infer/packed.h"
 #include "labels/iob.h"
 #include "nn/transformer.h"
@@ -62,18 +61,20 @@ class DetailExtractor {
                    nullptr);
 
   /// Extracts the key details of one objective. Requires a trained (or
-  /// loaded) model.
+  /// loaded) model. Each clause predicts as a one-member packed chunk on
+  /// the engine the batch paths use.
   data::DetailRecord Extract(const data::Objective& objective) const;
 
-  /// Extracts details for a whole collection as a staged task graph: each
-  /// objective is a tokenize -> predict -> decode node chain on a
-  /// work-stealing executor, so stages of different examples overlap (one
-  /// worker can decode objective 3 while another predicts objective 7).
-  /// Chains run depth-first (LIFO own-queue), so staged buffers die at the
-  /// decode node and in-flight memory stays ~O(workers), not O(n). The
-  /// output is order-preserving (record i belongs to objective i) and
-  /// byte-identical to the serial Extract() path for every thread count —
-  /// the stages are the same code Extract() composes inline.
+  /// Extracts details for a whole collection on a work-stealing executor,
+  /// in two phases: tokenize every objective, then pack all clauses by
+  /// length and run one predict node per packed chunk, with each
+  /// objective's decode node depending on exactly the chunks that carry
+  /// its clauses. Packing needs every length first, so all n objectives
+  /// hold tokenized state until their decode node frees it: memory grows
+  /// with n. The output is order-preserving (record i belongs to objective
+  /// i) and byte-identical to per-objective Extract() for every thread
+  /// count — the stages are the code Extract() composes inline, and a
+  /// packed chunk predicts each member exactly as a one-member chunk does.
   std::vector<data::DetailRecord> ExtractAll(
       const std::vector<data::Objective>& objectives) const;
 
@@ -85,13 +86,9 @@ class DetailExtractor {
 
   /// Extracts a batch presented by pointer — the serve scheduler's view of
   /// a closed batch — on `pool` (null = a private pool with
-  /// config.num_threads workers). Semantically identical to calling
-  /// Extract() per objective: record i belongs to *objectives[i] and is
-  /// byte-identical to the serial path. With packed inference enabled
-  /// (ExtractorConfig::packed_inference) the predict stage runs as
-  /// padding-free packed chunks on infer::PackedEngine instead of one plan
-  /// execution per clause; otherwise it falls back to the staged
-  /// per-objective node chains.
+  /// config.num_threads workers). The same packed pipeline as ExtractAll:
+  /// record i belongs to *objectives[i] and is byte-identical to
+  /// Extract(*objectives[i]).
   std::vector<data::DetailRecord> ExtractBatch(
       const std::vector<const data::Objective*>& objectives,
       runtime::ThreadPool* pool, runtime::Stats* stats = nullptr) const;
@@ -133,9 +130,6 @@ class DetailExtractor {
     obs::Counter* spans = nullptr;
     std::vector<obs::Counter*> spans_by_kind;  ///< Parallel to kinds.
     obs::Gauge* objectives_per_second = nullptr;
-    /// High-water count of objectives simultaneously holding staged
-    /// pipeline state (tokenized but not yet decoded) in ExtractAll.
-    obs::Gauge* staged_peak = nullptr;
   };
 
   /// True when this call should record metrics (handles resolved and the
@@ -160,9 +154,9 @@ class DetailExtractor {
   };
 
   /// Pipeline state of one (single-target) clause between stages. The
-  /// serial Extract() path and the staged ExtractAll() graph run the exact
-  /// same three stage methods over this struct, which is what makes their
-  /// outputs byte-identical.
+  /// serial Extract() path and the packed ExtractAll() graph run the same
+  /// tokenize and decode stage methods over this struct, which is what
+  /// makes their outputs byte-identical.
   struct StagedClause {
     WordPrediction prediction;
     std::vector<bpe::Subword> subwords;
@@ -175,7 +169,7 @@ class DetailExtractor {
   /// nothing to predict (stages 2/3 must be skipped).
   void TokenizeStage(const std::string& text, StagedClause& clause) const;
 
-  /// Stage 2: run the model (engine or autograd) over clause.ids.
+  /// Stage 2: predict clause.ids as a one-member packed chunk.
   void PredictStage(StagedClause& clause) const;
 
   /// Stage 3 (first half): map subword predictions back to word labels.
@@ -186,22 +180,18 @@ class DetailExtractor {
   std::vector<std::string> ClauseTexts(const std::string& text) const;
 
   /// Runs the inference pipeline once (the three stages back to back).
-  /// Thread-safe after Train()/Load(): the model, tokenizer, and catalog
-  /// are immutable by then, and each worker thread executes the compiled
-  /// plan in its own arena.
+  /// Thread-safe after Train()/Load(): the model, tokenizer, catalog and
+  /// engine are immutable by then, and every engine call owns its scratch.
   WordPrediction PredictPrepared(const std::string& text) const;
 
-  /// Compiles the inference plan for the current model (no-op when
-  /// config_.use_inference_engine is false) and, when packed inference is
-  /// configured, the packed-batch engine. Called when Train()/Load()
-  /// completes — the single point where the model's weights are final —
-  /// and again per training epoch while a packed engine exists (it derives
-  /// state from the weights at build time; see the packed_engine_ comment).
+  /// Builds the inference engine on the current weights. Called when
+  /// Train()/Load() completes — the single point where the model's weights
+  /// are final — and before every epoch callback (the engine derives state
+  /// from the weights at build time; see the engine_ comment).
   void RebuildEngine();
 
   /// Shared implementation of both ExtractAll overloads and ExtractBatch:
-  /// picks the packed two-phase pipeline when packed_engine_ exists, the
-  /// per-objective staged chains otherwise.
+  /// the two-phase packed pipeline.
   std::vector<data::DetailRecord> ExtractBatchImpl(
       const std::vector<const data::Objective*>& objectives,
       runtime::ThreadPool& pool, runtime::Stats* stats) const;
@@ -235,17 +225,12 @@ class DetailExtractor {
   text::WordTokenizer word_tokenizer_;
   std::unique_ptr<bpe::BpeModel> tokenizer_;
   std::unique_ptr<nn::TokenClassifier> model_;
-  /// Compiled graph-free inference plan over model_'s weights (borrowed by
-  /// view — must be destroyed before or rebuilt with model_). Null until
-  /// trained/loaded, or when use_inference_engine is off.
-  std::unique_ptr<infer::Engine> engine_;
-  /// Packed-batch engine for ExtractAll/ExtractBatch (DESIGN.md §14). Null
-  /// until trained/loaded or when packed_inference/use_inference_engine is
-  /// off. Unlike engine_ (whose borrowed views track in-place Adam updates
-  /// automatically), this one *derives* state at construction — the padded
-  /// classifier head and any int8 codes — so Train() rebuilds it every
-  /// epoch while it exists.
-  std::unique_ptr<infer::PackedEngine> packed_engine_;
+  /// The one inference engine (DESIGN.md §14) over model_'s weights, for
+  /// Extract, ExtractAll and ExtractBatch alike. Null until trained or
+  /// loaded. It borrows the encoder weights but *derives* state at
+  /// construction — the padded classifier head and any int8 codes — so it
+  /// must be rebuilt whenever the weights change.
+  std::unique_ptr<infer::PackedEngine> engine_;
   weaksup::WeakLabelStats train_stats_;
 };
 

@@ -393,6 +393,7 @@ void Executor::FinalizeStats(const Graph& graph, RunState& state) {
 
   if (nodes_counter_ != nullptr) {
     nodes_counter_->Increment(last_run_.executed);
+    steals_counter_->Increment(last_run_.steals);
     run_seconds_hist_->Observe(last_run_.wall_seconds);
     critical_path_gauge_->Set(critical);
     if (ready_depth_gauge_ != nullptr) ready_depth_gauge_->Set(0.0);

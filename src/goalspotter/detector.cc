@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "common/string_util.h"
 #include "crf/features.h"
-#include "infer/engine.h"
+#include "infer/packed.h"
 #include "nn/adam.h"
 #include "nn/trainer.h"
 #include "nn/transformer.h"
@@ -188,19 +188,16 @@ void TransformerObjectiveDetector::Train(
     trainer.RunEpoch(order, epoch, loss_fn);
   }
 
-  engine_.reset();
-  if (options_.use_inference_engine) {
-    engine_ = std::make_unique<infer::Engine>(
-        infer::Engine::ForSequenceClassifier(*model_));
-  }
+  engine_ = std::make_unique<infer::PackedEngine>(*model_,
+                                                  infer::PackedEngineOptions{});
 }
 
 int32_t TransformerObjectiveDetector::PredictClass(
     const std::string& text) const {
   GOALEX_CHECK_MSG(model_ != nullptr, "detector is not trained");
-  std::vector<int32_t> ids = Encode(text);
-  return engine_ != nullptr ? engine_->PredictClass(ids)
-                            : model_->Predict(ids);
+  // BOS/EOS make every encoding non-empty: exactly one class comes back.
+  const std::vector<int32_t> ids = Encode(text);
+  return engine_->PredictBatch({&ids})[0][0];
 }
 
 bool TransformerObjectiveDetector::IsObjective(const std::string& text) const {

@@ -70,12 +70,23 @@ std::vector<PackedChunk> PackByLength(
 
 PackedEngine::PackedEngine(const nn::TokenClassifier& model,
                            PackedEngineOptions options)
-    : config_(model.encoder().config()),
+    : PackedEngine(model.encoder(), model.head(), /*mean_pool=*/false,
+                   options) {}
+
+PackedEngine::PackedEngine(const nn::SequenceClassifier& model,
+                           PackedEngineOptions options)
+    : PackedEngine(model.encoder(), model.head(), /*mean_pool=*/true,
+                   options) {}
+
+PackedEngine::PackedEngine(const nn::TransformerEncoder& encoder,
+                           const nn::Linear& head, bool mean_pool,
+                           PackedEngineOptions options)
+    : config_(encoder.config()),
       options_(options),
-      num_labels_(model.num_labels()) {
+      mean_pool_(mean_pool),
+      num_labels_(static_cast<int32_t>(head.out_features())) {
   GOALEX_CHECK_GT(options_.chunk_tokens, 0);
   GOALEX_CHECK_GT(num_labels_, 0);
-  const nn::TransformerEncoder& encoder = model.encoder();
   auto pin = [this](const tensor::Var& var) -> const float* {
     pins_.push_back(var->value());
     return pins_.back().data();
@@ -114,8 +125,8 @@ PackedEngine::PackedEngine(const nn::TokenClassifier& model,
   // logit layout equal to float's.
   const int64_t d = config_.d_model;
   head_cols_ = RoundUp8(num_labels_);
-  const float* hw = model.head().weight()->value().data();
-  const float* hb = model.head().bias()->value().data();
+  const float* hw = head.weight()->value().data();
+  const float* hb = head.bias()->value().data();
   head_weight_.assign(d * head_cols_, 0.0f);
   for (int64_t l = 0; l < d; ++l) {
     for (int64_t j = 0; j < num_labels_; ++j) {
@@ -180,7 +191,9 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   // One storage block for all packed activations + attention scratch,
   // drawn through the thread's scratch allocator: inside an exec node
   // marked uses_scratch this is a pooled lease counted against
-  // exec.scratch.peak_bytes, elsewhere a plain zeroed allocation.
+  // exec.scratch.peak_bytes, elsewhere a plain zeroed allocation. A
+  // sequence head has one logits row per member, fed by one pooled row.
+  const int64_t logit_rows = mean_pool_ ? nseq : total;
   size_t off = 0;
   auto take = [&off](int64_t n) {
     size_t r = off;
@@ -195,7 +208,8 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   const size_t o_attn = take(total * d);
   const size_t o_x1 = take(total * d);
   const size_t o_f1 = take(total * ffn);
-  const size_t o_logits = take(total * head_cols_);
+  const size_t o_pooled = take(mean_pool_ ? nseq * d : 0);
+  const size_t o_logits = take(logit_rows * head_cols_);
   const size_t o_kat = take(dh * max_t);
   const size_t o_scores = take(tensor::kPackedAttentionRowBlock * max_t);
   result.storage = tensor::AllocateTensorStorage(off);
@@ -208,6 +222,7 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   float* attn = base + o_attn;
   float* x1 = base + o_x1;
   float* f1 = base + o_f1;
+  float* pooled = base + o_pooled;
   float* logits = base + o_logits;
   float* kat = base + o_kat;
   float* scores = base + o_scores;
@@ -258,8 +273,17 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   }
   tensor::LayerNormPackedForward(x, final_gamma_, final_beta_, h, total, d,
                                  kLayerNormEps);
-  tensor::LinearForward(h, head_weight_.data(), head_bias_.data(), logits,
-                        total, d, head_cols_);
+  const float* head_in = h;
+  if (mean_pool_) {
+    // The tape's MeanRows, one member at a time.
+    for (int64_t s = 0; s < nseq; ++s) {
+      tensor::MeanRowsForward(h + chunk.offsets[s] * d, pooled + s * d,
+                              chunk.offsets[s + 1] - chunk.offsets[s], d);
+    }
+    head_in = pooled;
+  }
+  tensor::LinearForward(head_in, head_weight_.data(), head_bias_.data(),
+                        logits, logit_rows, d, head_cols_);
   result.data = logits;
 
   if (chunks_ != nullptr) {
@@ -280,14 +304,16 @@ void PackedEngine::PredictChunk(const PackedChunk& chunk,
                                 std::vector<std::vector<int32_t>>& out) const {
   const ChunkLogits logits = ForwardChunk(chunk);
   for (int64_t s = 0; s < chunk.size(); ++s) {
-    const int64_t seq_base = chunk.offsets[s];
-    const int64_t t = chunk.offsets[s + 1] - seq_base;
+    // A member's logits rows: its token rows, or its one pooled row.
+    const int64_t first = mean_pool_ ? s : chunk.offsets[s];
+    const int64_t rows =
+        mean_pool_ ? 1 : chunk.offsets[s + 1] - chunk.offsets[s];
     std::vector<int32_t>& labels = out[chunk.sequence[s]];
-    labels.resize(t);
-    for (int64_t i = 0; i < t; ++i) {
+    labels.resize(rows);
+    for (int64_t i = 0; i < rows; ++i) {
       // Scan only the real columns; the padded tail is zeros.
-      labels[i] = tensor::ArgmaxRow(
-          logits.data + (seq_base + i) * logits.cols, num_labels_);
+      labels[i] = tensor::ArgmaxRow(logits.data + (first + i) * logits.cols,
+                                    num_labels_);
     }
   }
 }

@@ -12,13 +12,15 @@
 
 namespace goalex::infer {
 
-/// Packed-batch inference (DESIGN.md §14): the cross-example counterpart to
-/// Engine's per-example plans. Variable-length sequences are bucketed by
-/// length into capacity-bounded chunks and laid out token-major with a
-/// per-sequence offsets table; every layer then runs as one padding-free
-/// GEMM over the packed token axis, with attention streaming per-sequence
-/// tiles (tensor/packed.h). Float outputs are bit-identical per sequence to
-/// Engine::Execute; the optional int8 mode trades exactness for throughput.
+/// The inference engine (DESIGN.md §14). Variable-length sequences are
+/// bucketed by length into capacity-bounded chunks and laid out token-major
+/// with a per-sequence offsets table; every layer then runs as one
+/// padding-free GEMM over the packed token axis, with attention streaming
+/// per-sequence tiles (tensor/packed.h). A single sequence is simply a
+/// one-member chunk. Float outputs are bit-identical per sequence to the
+/// autograd evaluation path (the classifiers' ForwardLogits), which stays
+/// the parity oracle; the optional int8 mode trades exactness for
+/// throughput.
 
 /// One packed batch: token ids for all member sequences back to back.
 /// Sequence s (0 ≤ s < size()) owns ids[offsets[s]..offsets[s+1]) and came
@@ -34,12 +36,12 @@ struct PackedChunk {
 
 /// Buckets `sequences` by token length into chunks of at most
 /// `chunk_tokens` packed tokens. Sequences are truncated to `max_seq_len`
-/// (matching Engine::Execute) and empty sequences are skipped — callers
-/// get no labels for them, exactly like the per-example path. Packing is
-/// deterministic: a stable sort by length (ties keep submission order)
-/// followed by greedy capacity-bounded fill, so equal inputs always
-/// produce equal chunks. A single sequence longer than `chunk_tokens` is
-/// admitted as an oversize chunk of its own rather than rejected.
+/// (matching the encoder's own truncation) and empty sequences are skipped
+/// — callers get no labels for them. Packing is deterministic: a stable
+/// sort by length (ties keep submission order) followed by greedy
+/// capacity-bounded fill, so equal inputs always produce equal chunks. A
+/// single sequence longer than `chunk_tokens` is admitted as an oversize
+/// chunk of its own rather than rejected.
 std::vector<PackedChunk> PackByLength(
     const std::vector<const std::vector<int32_t>*>& sequences,
     int64_t max_seq_len, int64_t chunk_tokens);
@@ -55,8 +57,10 @@ struct PackedEngineOptions {
   bool quantize_int8 = false;
 };
 
-/// Compiled packed-batch executor over a trained TokenClassifier. Like
-/// infer::Engine the float weights are borrowed (pinned via shared tensor
+/// Compiled packed-batch executor over a trained classifier: one engine for
+/// both head types (per-token labels from a TokenClassifier, one
+/// mean-pooled class per sequence from a SequenceClassifier) and both
+/// precisions. Encoder weights are borrowed (pinned via shared tensor
 /// storage), but the engine also *derives* state at construction — the
 /// zero-padded classifier head and, in int8 mode, the quantized codes — so
 /// a PackedEngine must be rebuilt after any weight update (the extractor
@@ -64,24 +68,32 @@ struct PackedEngineOptions {
 /// are const and safe to call concurrently, each call owns its scratch.
 class PackedEngine {
  public:
+  /// Token head: logits and labels per token.
   PackedEngine(const nn::TokenClassifier& model, PackedEngineOptions options);
+  /// Sequence head: the final hidden states are mean-pooled per member
+  /// sequence, giving one logits row and one class per member.
+  PackedEngine(const nn::SequenceClassifier& model,
+               PackedEngineOptions options);
 
-  /// Per-token argmax labels for every member of `chunk`, written to
+  /// Argmax labels for every member of `chunk`, written to
   /// out[chunk.sequence[s]] (slots for other chunks are untouched, so
-  /// disjoint chunks can predict into one vector concurrently).
+  /// disjoint chunks can predict into one vector concurrently): one label
+  /// per token for a token head, a single class for a sequence head.
   void PredictChunk(const PackedChunk& chunk,
                     std::vector<std::vector<int32_t>>& out) const;
 
   /// Packs `sequences` (PackByLength) and predicts every chunk. Entry i of
-  /// the result holds per-token labels for sequences[i]; empty sequences
-  /// yield empty label vectors.
+  /// the result holds the labels of sequences[i] (see PredictChunk); empty
+  /// sequences yield empty label vectors.
   std::vector<std::vector<int32_t>> PredictBatch(
       const std::vector<const std::vector<int32_t>*>& sequences) const;
 
-  /// Raw packed logits for one chunk: [chunk.tokens(), logit_cols()]
-  /// row-major, alive while the returned storage is held. Columns past
-  /// num_labels() are zero padding (the head is padded to a SIMD-friendly
-  /// width); argmax must scan only the first num_labels() columns.
+  /// Raw packed logits for one chunk, row-major with logit_cols() columns,
+  /// alive while the returned storage is held: chunk.tokens() rows for a
+  /// token head, chunk.size() rows (member s at row s) for a sequence
+  /// head. Columns past num_labels() are zero padding (the head is padded
+  /// to a SIMD-friendly width); argmax must scan only the first
+  /// num_labels() columns.
   struct ChunkLogits {
     std::shared_ptr<std::vector<float>> storage;
     const float* data = nullptr;
@@ -96,6 +108,9 @@ class PackedEngine {
   int64_t max_seq_len() const { return config_.max_seq_len; }
 
  private:
+  PackedEngine(const nn::TransformerEncoder& encoder, const nn::Linear& head,
+               bool mean_pool, PackedEngineOptions options);
+
   struct LayerWeights {
     const float* ln1_gamma = nullptr;
     const float* ln1_beta = nullptr;
@@ -120,6 +135,8 @@ class PackedEngine {
 
   nn::TransformerConfig config_;
   PackedEngineOptions options_;
+  /// Sequence head: mean-pool each member's final states before the head.
+  bool mean_pool_ = false;
   int32_t num_labels_ = 0;
   int64_t head_cols_ = 0;
 

@@ -49,7 +49,7 @@ class EncoderLayer : public Module {
   void CollectParameters(const std::string& prefix,
                          std::vector<NamedParam>& out) const override;
 
-  /// Borrowed-weight accessors for inference plan compilation (src/infer).
+  /// Borrowed-weight accessors for the inference engine (src/infer).
   const Linear& q_proj() const { return *q_proj_; }
   const Linear& k_proj() const { return *k_proj_; }
   const Linear& v_proj() const { return *v_proj_; }
@@ -88,7 +88,7 @@ class TransformerEncoder : public Module {
 
   const TransformerConfig& config() const { return config_; }
 
-  /// Borrowed-weight accessors for inference plan compilation.
+  /// Borrowed-weight accessors for the inference engine.
   const tensor::Var& token_embedding() const { return token_embedding_; }
   const tensor::Var& position_embedding() const {
     return position_embedding_;
@@ -121,6 +121,7 @@ class TokenClassifier : public Module {
 
   /// Evaluation logits [T', num_labels] where T' = min(T, max_len). This is
   /// the autograd reference path the inference engine is bit-compared to.
+  /// Empty `ids` CHECK-fail here; the engine returns no labels for them.
   tensor::Var ForwardLogits(const std::vector<int32_t>& ids) const;
 
   /// Training logits (dropout active).
@@ -138,8 +139,8 @@ class TokenClassifier : public Module {
                           const std::vector<int32_t>& targets) const;
 
   /// Greedy per-token prediction (argmax over labels) via the autograd
-  /// evaluation path. Production inference uses infer::Engine instead,
-  /// which is bit-identical and graph-free.
+  /// evaluation path — the parity oracle. Production inference runs on
+  /// infer::PackedEngine instead, which is bit-identical and graph-free.
   std::vector<int32_t> Predict(const std::vector<int32_t>& ids) const;
 
   void CollectParameters(const std::string& prefix,
@@ -175,7 +176,8 @@ class SequenceClassifier : public Module {
   tensor::Var ForwardLoss(const std::vector<int32_t>& ids, int32_t target,
                           Rng& rng) const;
 
-  /// Argmax class via the autograd evaluation path.
+  /// Argmax class via the autograd evaluation path — the parity oracle for
+  /// infer::PackedEngine's sequence head.
   int32_t Predict(const std::vector<int32_t>& ids) const;
 
   void CollectParameters(const std::string& prefix,

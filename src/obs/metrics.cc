@@ -100,18 +100,24 @@ double HistogramSnapshot::Quantile(double q) const {
   uint64_t cumulative = 0;
   for (size_t i = 0; i < buckets.size(); ++i) {
     cumulative += buckets[i];
-    if (static_cast<double>(cumulative) < rank) continue;
-    if (i >= bounds.size()) return bounds.back();  // +inf bucket: clamp.
+    // The first non-empty bucket reaching the rank holds the exact
+    // quantile (rank 0 means the minimum, in the first non-empty bucket).
+    if (buckets[i] == 0 || static_cast<double>(cumulative) < rank) continue;
+    if (i >= bounds.size()) return max;  // +inf bucket: no upper bound.
     double upper = bounds[i];
     double lower = i == 0 ? 0.0 : bounds[i - 1];
-    if (buckets[i] == 0) return upper;
-    // Linear interpolation within the bucket.
+    // Linear interpolation within the bucket, then clamped to the observed
+    // range: a bucket wider than the data must not report values nothing
+    // reached. The clamp stays inside this bucket, which holds a sample.
     double into =
         (rank - static_cast<double>(cumulative - buckets[i])) /
         static_cast<double>(buckets[i]);
-    return lower + (upper - lower) * into;
+    double estimate = std::min(upper, lower + (upper - lower) * into);
+    // A snapshot racing the first Observe can see min > max; skip the
+    // clamp then rather than pass std::clamp an inverted range.
+    return min <= max ? std::clamp(estimate, min, max) : estimate;
   }
-  return bounds.back();
+  return max;
 }
 
 const std::vector<double>& DefaultLatencyBounds() {

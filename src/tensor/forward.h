@@ -8,9 +8,10 @@
 namespace goalex::tensor {
 
 /// Forward-pass math shared by the autograd ops (tensor/ops.cc) and the
-/// graph-free inference engine (src/infer). Both execution strategies call
-/// these exact functions, so engine outputs are bit-identical to the tape's
-/// by construction — the parity tests then verify it end to end.
+/// packed inference engine (src/infer, via tensor/packed.h). The engine
+/// calls these functions or kernels that replay their exact per-output
+/// float chains, so its outputs are bit-identical to the tape's by
+/// construction — the parity tests then verify it end to end.
 ///
 /// All buffers are dense row-major float; output buffers may be
 /// uninitialized unless a function documents otherwise.

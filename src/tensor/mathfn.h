@@ -12,7 +12,7 @@
 namespace goalex::tensor {
 
 /// Fast float transcendentals shared by every execution strategy (autograd
-/// forward, autograd backward, and the graph-free inference engine). The
+/// forward, autograd backward, and the packed inference engine). The
 /// scalar and AVX2 variants perform the same IEEE-defined operation
 /// sequence (fmaf <-> vfmadd lane, floor <-> roundps, div <-> divps), so a
 /// value computed 8-wide is bit-identical to the scalar tail — callers can

@@ -99,6 +99,50 @@ TEST(ConfigTest, RejectsUnknownKeyAndMissingKinds) {
   EXPECT_FALSE(ExtractorConfig::FromText("epochs=3\n").ok());
 }
 
+TEST(ConfigTest, ParsesConfigSavedBeforeTheEngineKnobsRetired) {
+  // config.txt as written by models saved while the engine-selection
+  // switches existed: the two retired keys still load (and are ignored).
+  const std::string saved =
+      "kinds=Action,Amount,Deadline\n"
+      "preset=roberta\n"
+      "epochs=10\n"
+      "learning_rate=5e-05\n"
+      "learning_rate_scale=20\n"
+      "batch_size=16\n"
+      "dropout=0.1\n"
+      "seed=17\n"
+      "bpe_merges=2600\n"
+      "max_seq_len=96\n"
+      "d_model=64\n"
+      "heads=4\n"
+      "ffn_dim=128\n"
+      "base_layers=2\n"
+      "normalize_text=1\n"
+      "num_threads=0\n"
+      "enable_metrics=1\n"
+      "use_inference_engine=1\n"
+      "packed_inference=0\n"
+      "packed_chunk_tokens=256\n"
+      "quantize_int8=0\n"
+      "segment_multi_target=0\n"
+      "exact_match=1\n";
+  StatusOr<ExtractorConfig> parsed = ExtractorConfig::FromText(saved);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->kinds,
+            (std::vector<std::string>{"Action", "Amount", "Deadline"}));
+  EXPECT_EQ(parsed->packed_chunk_tokens, 256);
+  // Re-saving drops the retired keys.
+  const std::string text = parsed->ToText();
+  EXPECT_EQ(text.find("use_inference_engine"), std::string::npos);
+  EXPECT_EQ(text.find("packed_inference"), std::string::npos);
+  // Their values are still validated.
+  EXPECT_FALSE(
+      ExtractorConfig::FromText("kinds=Action\nuse_inference_engine=yes\n")
+          .ok());
+  EXPECT_FALSE(
+      ExtractorConfig::FromText("kinds=Action\npacked_inference=2\n").ok());
+}
+
 TEST(ConfigTest, NegativeNumThreadsAllowed) {
   // num_threads <= 0 means "auto"; the parser must not reject the sign.
   StatusOr<ExtractorConfig> parsed =

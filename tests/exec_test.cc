@@ -246,8 +246,15 @@ TEST(ExecutorTest, WorkStealingMovesWaveWorkAcrossShards) {
   for (int i = 0; i < 8; ++i) {
     graph.Add([] { SpinFor(std::chrono::microseconds(2000)); }, {root});
   }
+  obs::Counter* steals =
+      obs::MetricsRegistry::Default().GetCounter("exec.steals");
+  const uint64_t before = steals->Value();
   ASSERT_TRUE(executor.Run(graph).ok());
   EXPECT_GE(executor.last_run().steals, 1u);
+  // The registry counter accumulates exactly the per-run count.
+  if (obs::Active()) {
+    EXPECT_EQ(steals->Value() - before, executor.last_run().steals);
+  }
 }
 
 TEST(ExecutorTest, CriticalPathCoversTheLongestChain) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <utility>
 
 #include "core/database.h"
 #include "data/generator.h"
@@ -176,6 +178,45 @@ TEST(DetailExtractorTest, EpochCallbackFires) {
   EXPECT_EQ(epochs, (std::vector<int32_t>{1, 2, 3}));
   // Loss decreases over training.
   EXPECT_LT(losses.back(), losses.front());
+}
+
+TEST(DetailExtractorTest, EpochCallbackSeesCurrentWeights) {
+  // The engine derives state from the weights when it is built, so Train()
+  // must rebuild it before every callback: Extract() inside the last
+  // epoch's callback sees the final weights, exactly like Extract() after
+  // Train() returns.
+  data::SustainabilityGoalsConfig corpus_config;
+  corpus_config.objective_count = 60;
+  std::vector<data::Objective> corpus =
+      data::GenerateSustainabilityGoals(corpus_config);
+  ExtractorConfig config = SmallConfig();
+  config.epochs = 2;
+  DetailExtractor extractor(config);
+  // Every word label and every extracted field over the corpus.
+  auto snapshot = [&extractor, &corpus] {
+    std::vector<labels::LabelId> word_labels;
+    std::vector<std::map<std::string, std::string>> fields;
+    for (const data::Objective& o : corpus) {
+      for (labels::LabelId id : extractor.PredictWordLabels(o.text)) {
+        word_labels.push_back(id);
+      }
+      fields.push_back(extractor.Extract(o).fields);
+    }
+    return std::make_pair(word_labels, fields);
+  };
+  std::vector<decltype(snapshot())> per_epoch;
+  ASSERT_TRUE(
+      extractor
+          .Train(corpus,
+                 [&](const EpochStats&) { per_epoch.push_back(snapshot()); })
+          .ok());
+  ASSERT_EQ(per_epoch.size(), 2u);
+  // The weights moved between the two callbacks...
+  EXPECT_NE(per_epoch[0].first, per_epoch[1].first);
+  // ...and the last callback saw the weights Train() ends with.
+  const auto after = snapshot();
+  EXPECT_EQ(per_epoch[1].first, after.first);
+  EXPECT_EQ(per_epoch[1].second, after.second);
 }
 
 TEST(ConfigTest, PresetProperties) {

@@ -2,8 +2,10 @@
 // pipeline (detection -> extraction -> structured database).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "core/database.h"
 #include "core/extractor.h"
@@ -11,6 +13,7 @@
 #include "data/report.h"
 #include "goalspotter/detector.h"
 #include "goalspotter/pipeline.h"
+#include "nn/transformer.h"
 
 namespace goalex::goalspotter {
 namespace {
@@ -55,36 +58,64 @@ TEST(DetectorTest, SeparatesObjectivesFromNoise) {
 }
 
 TEST(TransformerDetectorTest, EngineAndAutogradPredictionsIdentical) {
-  // Two detectors with identical training (same seeds, same data), one
-  // predicting via the compiled inference engine and one via the autograd
-  // evaluation path: every prediction must match exactly.
+  // The detector predicts on the packed engine's sequence head; its
+  // autograd model is the oracle. Every block — objective or noise — must
+  // get exactly the class the autograd evaluation path predicts.
   std::vector<LabeledBlock> blocks = DetectorTrainingSet(40, 40, 11);
   TransformerDetectorOptions options;
   options.epochs = 2;
+  TransformerObjectiveDetector detector(options);
+  detector.Train(blocks);
 
-  options.use_inference_engine = true;
-  TransformerObjectiveDetector engine_detector(options);
-  engine_detector.Train(blocks);
-
-  options.use_inference_engine = false;
-  TransformerObjectiveDetector tape_detector(options);
-  tape_detector.Train(blocks);
-
+  std::vector<std::string> texts;
   data::SustainabilityGoalsConfig config;
   config.objective_count = 20;
   config.seed = 77;
   for (const data::Objective& o :
        data::GenerateSustainabilityGoals(config)) {
-    EXPECT_EQ(engine_detector.PredictClass(o.text),
-              tape_detector.PredictClass(o.text))
-        << "engine/autograd divergence on: " << o.text;
+    texts.push_back(o.text);
   }
   Rng rng(78);
   for (int i = 0; i < 20; ++i) {
-    std::string noise = data::GenerateNoiseSentence(rng);
-    EXPECT_EQ(engine_detector.PredictClass(noise),
-              tape_detector.PredictClass(noise));
+    texts.push_back(data::GenerateNoiseSentence(rng));
   }
+  // Longer than max_seq_len once encoded: truncation must agree too.
+  texts.push_back(texts[0] + " " + texts[1] + " " + texts[2] + " " +
+                  texts[3]);
+  for (const std::string& text : texts) {
+    EXPECT_EQ(detector.PredictClass(text),
+              detector.model().Predict(detector.Encode(text)))
+        << "engine/autograd divergence on: " << text;
+  }
+}
+
+TEST(TransformerDetectorTest, ConcurrentPredictionsMatchSerial) {
+  // StreamPipeline workers call one detector concurrently.
+  TransformerDetectorOptions options;
+  options.epochs = 1;
+  TransformerObjectiveDetector detector(options);
+  detector.Train(DetectorTrainingSet(30, 30, 13));
+
+  std::vector<std::string> texts;
+  Rng rng(79);
+  for (int i = 0; i < 32; ++i) {
+    texts.push_back(data::GenerateNoiseSentence(rng));
+  }
+  std::vector<int32_t> expected;
+  for (const std::string& text : texts) {
+    expected.push_back(detector.PredictClass(text));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = static_cast<size_t>(t); i < texts.size(); i += 4) {
+        if (detector.PredictClass(texts[i]) != expected[i]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(TransformerDetectorTest, LearnsToSeparateObjectivesFromNoise) {

@@ -3,15 +3,15 @@
 //  - PackByLength is a deterministic, lossless partition: every non-empty
 //    sequence lands in exactly one chunk, capacity and truncation bounds
 //    hold, and equal inputs always produce equal chunks.
-//  - The packed float path is *bit-identical* per sequence to the
-//    per-example engine — full logits, not just argmax — across sequence
+//  - The packed float path is *bit-identical* per sequence to the autograd
+//    evaluation path — full logits, not just argmax — across sequence
 //    lengths, including the degenerate shapes (batch of one, single-token
 //    sequences, all-equal lengths, max_seq_len, truncation).
 //  - The int8 path is tolerance-pinned: logits stay close to float and the
 //    argmax labels agree on almost every token (the end-to-end F1 budget
 //    is gated separately by bench_micro_infer --smoke).
-// Plus extractor-level parity: ExtractAll on the packed path must produce
-// byte-identical records to serial per-objective Extract() calls.
+// Plus extractor-level parity: ExtractAll must produce byte-identical
+// records to serial per-objective Extract() calls, in float and in int8.
 #include "infer/packed.h"
 
 #include <gtest/gtest.h>
@@ -19,15 +19,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/extractor.h"
 #include "data/dataset.h"
 #include "data/generator.h"
-#include "infer/engine.h"
 #include "nn/transformer.h"
-#include "tensor/view.h"
 
 namespace goalex {
 namespace {
@@ -84,7 +83,7 @@ TEST(PackByLengthTest, EmptySequencesAreSkipped) {
   std::vector<PackedChunk> chunks = PackByLength(Ptrs(batch), 16, 64);
   ASSERT_EQ(chunks.size(), 1u);
   // Only the two non-empty sequences are packed; the empty ones simply get
-  // no labels, like the per-example path.
+  // no labels.
   EXPECT_EQ(chunks[0].size(), 2);
   EXPECT_EQ(chunks[0].tokens(), 4);
   std::vector<size_t> members = chunks[0].sequence;
@@ -187,14 +186,13 @@ TEST(PackByLengthTest, DeterministicAcrossCalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed float path: bit-identical to the per-example engine.
+// Packed float path: bit-identical to the autograd evaluation path.
 
-/// Asserts PredictBatch matches per-example PredictTokens and the packed
-/// logits match per-example Execute float-for-float (==, not NEAR).
+/// Asserts PredictBatch matches the autograd Predict and the packed logits
+/// match the autograd ForwardLogits float-for-float (==, not NEAR).
 void ExpectPackedBitIdentical(const nn::TokenClassifier& model,
                               const std::vector<std::vector<int32_t>>& batch,
                               int64_t chunk_tokens) {
-  infer::Engine engine = infer::Engine::ForTokenClassifier(model);
   PackedEngineOptions options;
   options.chunk_tokens = chunk_tokens;
   PackedEngine packed(model, options);
@@ -208,11 +206,11 @@ void ExpectPackedBitIdentical(const nn::TokenClassifier& model,
       EXPECT_TRUE(labels[i].empty());
       continue;
     }
-    EXPECT_EQ(labels[i], engine.PredictTokens(batch[i])) << "sequence " << i;
+    EXPECT_EQ(labels[i], model.Predict(batch[i])) << "sequence " << i;
   }
 
-  // Full logits, chunk by chunk.
-  std::unique_ptr<infer::ExecutionContext> ctx = engine.NewContext();
+  // Full logits, chunk by chunk. ForwardLogits truncates to max_seq_len
+  // itself, like packing does.
   std::vector<PackedChunk> chunks =
       PackByLength(Ptrs(batch), max_seq_len, chunk_tokens);
   for (const PackedChunk& chunk : chunks) {
@@ -220,19 +218,14 @@ void ExpectPackedBitIdentical(const nn::TokenClassifier& model,
     ASSERT_EQ(logits.cols, packed.logit_cols());
     for (int64_t s = 0; s < chunk.size(); ++s) {
       const size_t caller = chunk.sequence[static_cast<size_t>(s)];
-      std::vector<int32_t> truncated(
-          batch[caller].begin(),
-          batch[caller].begin() +
-              std::min<int64_t>(
-                  static_cast<int64_t>(batch[caller].size()), max_seq_len));
-      tensor::TensorView ref = engine.Execute(truncated, *ctx);
+      const tensor::Var ref = model.ForwardLogits(batch[caller]);
       const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-      ASSERT_EQ(ref.rows(), t);
+      ASSERT_EQ(ref->value().dim(0), t);
       for (int64_t p = 0; p < t; ++p) {
         const float* got =
             logits.data + (chunk.offsets[s] + p) * logits.cols;
         for (int64_t j = 0; j < packed.num_labels(); ++j) {
-          ASSERT_EQ(got[j], ref.at(p, j))
+          ASSERT_EQ(got[j], ref->value().at(p, j))
               << "sequence " << caller << " token " << p << " label " << j;
         }
         // Padded columns are exactly zero by construction.
@@ -251,7 +244,7 @@ TEST(PackedEngineTest, FloatBitIdenticalAcrossSeedsAndLengths) {
     nn::TokenClassifier model(config, /*num_labels=*/11, init);
     Rng data_rng(seed + 1);
     // A spread of lengths including max_seq_len and one past it
-    // (truncation parity with Engine::Execute).
+    // (truncation parity with the encoder's own truncation).
     std::vector<size_t> lengths = {1, 2, 3, 5, 7, 24, 9, 1, 16, 24, 30, 12};
     std::vector<std::vector<int32_t>> batch =
         RandomBatch(lengths, config.vocab_size, data_rng);
@@ -353,8 +346,20 @@ TEST(PackedEngineTest, Int8LogitsCloseAndLabelsMostlyAgree) {
 
 // ---------------------------------------------------------------------------
 // Extractor-level parity: the packed ExtractAll path emits byte-identical
-// records to serial per-objective Extract() calls (which run the
-// per-example engine), for every thread count.
+// records to serial per-objective Extract() calls (one-member chunks), for
+// every thread count and in both precisions.
+
+/// Per-objective Extract() over `objectives`, in order.
+std::vector<data::DetailRecord> ExtractEach(
+    const core::DetailExtractor& extractor,
+    const std::vector<data::Objective>& objectives) {
+  std::vector<data::DetailRecord> records;
+  records.reserve(objectives.size());
+  for (const data::Objective& o : objectives) {
+    records.push_back(extractor.Extract(o));
+  }
+  return records;
+}
 
 TEST(PackedExtractorTest, PackedExtractAllMatchesSerialExtract) {
   data::SustainabilityGoalsConfig corpus_config;
@@ -367,15 +372,11 @@ TEST(PackedExtractorTest, PackedExtractAllMatchesSerialExtract) {
   config.kinds = data::SustainabilityGoalKinds();
   config.bpe_merges = 1200;
   config.epochs = 3;
-  ASSERT_TRUE(config.packed_inference);  // Default-on.
   core::DetailExtractor extractor(config);
   ASSERT_TRUE(extractor.Train(split.train).ok());
 
-  std::vector<data::DetailRecord> expected;
-  expected.reserve(split.test.size());
-  for (const data::Objective& o : split.test) {
-    expected.push_back(extractor.Extract(o));
-  }
+  const std::vector<data::DetailRecord> expected =
+      ExtractEach(extractor, split.test);
 
   for (int32_t threads : {1, 4}) {
     runtime::Stats stats;
@@ -399,6 +400,26 @@ TEST(PackedExtractorTest, PackedExtractAllMatchesSerialExtract) {
   ASSERT_EQ(batch.size(), expected.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].fields, expected[i].fields);
+  }
+
+  // The same weights in int8: Extract() and ExtractAll() run one engine,
+  // so they agree record for record in this precision too.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "goalex_infer_packed_int8";
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(extractor.Save(dir.string()).ok());
+  core::ExtractorConfig int8_config = config;
+  int8_config.quantize_int8 = true;
+  core::DetailExtractor int8_extractor(int8_config);
+  ASSERT_TRUE(int8_extractor.Load(dir.string()).ok());
+  std::filesystem::remove_all(dir);
+  const std::vector<data::DetailRecord> int8_each =
+      ExtractEach(int8_extractor, split.test);
+  const std::vector<data::DetailRecord> int8_all =
+      int8_extractor.ExtractAll(split.test, /*num_threads=*/4);
+  ASSERT_EQ(int8_all.size(), int8_each.size());
+  for (size_t i = 0; i < int8_all.size(); ++i) {
+    EXPECT_EQ(int8_all[i].fields, int8_each[i].fields) << "objective " << i;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -127,6 +128,56 @@ TEST(HistogramTest, QuantilesAreMonotone) {
     ASSERT_LE(value, snap.bounds.back());
     last = value;
   }
+}
+
+// Property: over random samples, every quantile estimate lies in [min, max]
+// and in the bucket that holds the exact quantile (the sample of 1-based
+// rank max(1, ceil(q * n)) in sorted order). Samples span several decades,
+// including values below the smallest bound and past the largest, so
+// sparse, dense, first and +inf buckets are all exercised.
+TEST(HistogramTest, QuantileStaysInRangeAndInTheExactQuantilesBucket) {
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<double> exponent(-6.5, 1.8);
+  for (int trial = 0; trial < 200; ++trial) {
+    Histogram histogram(DefaultLatencyBounds());
+    const size_t n = 1 + rng() % 300;
+    std::vector<double> samples(n);
+    for (double& v : samples) {
+      v = std::pow(10.0, exponent(rng));
+      histogram.Observe(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    const HistogramSnapshot snap = histogram.Snapshot();
+    auto bucket_of = [&snap](double v) {
+      return std::lower_bound(snap.bounds.begin(), snap.bounds.end(), v) -
+             snap.bounds.begin();
+    };
+    for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0}) {
+      const double estimate = snap.Quantile(q);
+      const size_t rank = std::max<size_t>(
+          1, static_cast<size_t>(std::ceil(q * static_cast<double>(n))));
+      const double exact = samples[rank - 1];
+      ASSERT_GE(estimate, snap.min) << "trial " << trial << " q=" << q;
+      ASSERT_LE(estimate, snap.max) << "trial " << trial << " q=" << q;
+      ASSERT_EQ(bucket_of(estimate), bucket_of(exact))
+          << "trial " << trial << " q=" << q << " estimate " << estimate
+          << " exact " << exact;
+    }
+  }
+}
+
+TEST(HistogramTest, QuantileClampsToObservedRange) {
+  // One sample far inside a wide bucket: the bucket's bounds were the old
+  // answer, the sample is the right one.
+  Histogram histogram(DefaultLatencyBounds());
+  histogram.Observe(2.5e-6);  // Below the smallest bound (10 us).
+  HistogramSnapshot snap = histogram.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 2.5e-6);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 2.5e-6);
+  histogram.Observe(100.0);  // Past the largest bound: the +inf bucket.
+  snap = histogram.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.Quantile(1.0), 100.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 2.5e-6);
 }
 
 TEST(HistogramTest, QuantileMatchesUniformDistributionRoughly) {
