@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bpe/bpe_tokenizer.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "crf/crf.h"
 #include "crf/features.h"
@@ -63,13 +64,30 @@ void BM_BpeTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_BpeTrain)->Arg(500)->Arg(2600);
 
-void BM_BpeEncode(benchmark::State& state) {
+// Cold: a frozen model with an empty encode cache (a loaded model), so
+// every word runs the merge loop.
+void BM_BpeEncodeCold(benchmark::State& state) {
+  auto model = bpe::BpeModel::Deserialize(
+      bpe::BpeModel::Train(Corpus(), 2600).Serialize());
+  GOALEX_CHECK_OK(model.status());
+  model->Freeze();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model->Encode(kSentence));
+  }
+}
+BENCHMARK(BM_BpeEncodeCold);
+
+// Warm: the sentence was encoded before Freeze(), so every word is a cache
+// hit (a trained model encoding its training corpus).
+void BM_BpeEncodeWarm(benchmark::State& state) {
   bpe::BpeModel model = bpe::BpeModel::Train(Corpus(), 2600);
+  model.Encode(kSentence);
+  model.Freeze();
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.Encode(kSentence));
   }
 }
-BENCHMARK(BM_BpeEncode);
+BENCHMARK(BM_BpeEncodeWarm);
 
 void BM_WeakLabeling(benchmark::State& state) {
   labels::LabelCatalog catalog(data::SustainabilityGoalKinds());

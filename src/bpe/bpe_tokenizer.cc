@@ -13,30 +13,38 @@ namespace {
 
 constexpr char kRankSep = '\x1F';
 
-std::string PairKey(std::string_view left, std::string_view right) {
-  std::string key;
-  key.reserve(left.size() + right.size() + 1);
-  key.append(left);
-  key.push_back(kRankSep);
-  key.append(right);
-  return key;
+// Marks a character outside the alphabet while a word is merged. It
+// matches no merge rule (unlike kUnkId, which is also the id of the "<unk>"
+// string) and is emitted as <unk>.
+constexpr TokenId kNoToken = -1;
+constexpr size_t kNoRank = static_cast<size_t>(-1);
+
+uint64_t PairId(TokenId left, TokenId right) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(left)) << 32) |
+         static_cast<uint32_t>(right);
+}
+
+// Length in bytes of the UTF-8 character starting at `word[i]`, as its lead
+// byte declares it, clipped to the end of the word. Any other byte (ASCII,
+// a stray continuation byte, an invalid lead byte) is one character.
+size_t CharLength(std::string_view word, size_t i) {
+  size_t length = 1;
+  unsigned char b = static_cast<unsigned char>(word[i]);
+  if ((b & 0xE0) == 0xC0) {
+    length = 2;
+  } else if ((b & 0xF0) == 0xE0) {
+    length = 3;
+  } else if ((b & 0xF8) == 0xF0) {
+    length = 4;
+  }
+  return std::min(length, word.size() - i);
 }
 
 // Splits a word into UTF-8 character symbols.
 std::vector<std::string> SplitToChars(const std::string& word) {
   std::vector<std::string> symbols;
-  size_t i = 0;
-  while (i < word.size()) {
-    size_t length = 1;
-    unsigned char b = static_cast<unsigned char>(word[i]);
-    if ((b & 0xE0) == 0xC0) {
-      length = 2;
-    } else if ((b & 0xF0) == 0xE0) {
-      length = 3;
-    } else if ((b & 0xF8) == 0xF0) {
-      length = 4;
-    }
-    length = std::min(length, word.size() - i);
+  for (size_t i = 0; i < word.size();) {
+    const size_t length = CharLength(word, i);
     symbols.push_back(word.substr(i, length));
     i += length;
   }
@@ -102,7 +110,6 @@ BpeModel BpeModel::Train(const std::vector<std::string>& corpus,
     const std::string& left = best->first.first;
     const std::string& right = best->first.second;
     std::string joined = left + right;
-    model.merge_ranks_[PairKey(left, right)] = model.merges_.size();
     model.merges_.push_back(MergeRule{left, right});
     model.vocab_.AddToken(joined);
 
@@ -123,48 +130,103 @@ BpeModel BpeModel::Train(const std::vector<std::string>& corpus,
       symbols.resize(write);
     }
   }
+  // Every merged string was added to the vocabulary above.
+  GOALEX_CHECK_OK(model.Compile());
   return model;
 }
 
-std::vector<std::string> BpeModel::ApplyMerges(const std::string& word) const {
-  auto cached = cache_.find(word);
-  if (cached != cache_.end()) return cached->second;
-
-  std::vector<std::string> symbols = SplitToChars(word);
-  while (symbols.size() > 1) {
-    // Find the adjacent pair with the lowest merge rank.
-    size_t best_rank = merge_ranks_.size();
-    size_t best_pos = symbols.size();
-    for (size_t i = 0; i + 1 < symbols.size(); ++i) {
-      auto it = merge_ranks_.find(PairKey(symbols[i], symbols[i + 1]));
-      if (it != merge_ranks_.end() && it->second < best_rank) {
-        best_rank = it->second;
-        best_pos = i;
-      }
+Status BpeModel::Compile() {
+  for (size_t rank = 0; rank < merges_.size(); ++rank) {
+    const MergeRule& rule = merges_[rank];
+    const std::string merged = rule.left + rule.right;
+    if (!vocab_.Contains(rule.left) || !vocab_.Contains(rule.right) ||
+        !vocab_.Contains(merged)) {
+      return DataLossError("merge rule " + std::to_string(rank) +
+                           " is outside the vocabulary");
     }
-    if (best_pos == symbols.size()) break;
-    symbols[best_pos] += symbols[best_pos + 1];
-    symbols.erase(symbols.begin() + best_pos + 1);
+    // A pair listed twice keeps its later rank.
+    merge_table_[PairId(vocab_.GetId(rule.left), vocab_.GetId(rule.right))] =
+        MergeTarget{rank, vocab_.GetId(merged)};
+  }
+  // Encoding has always searched only below the number of distinct pairs,
+  // so when a pair is listed twice the highest ranks never apply.
+  const size_t distinct = merge_table_.size();
+  std::erase_if(merge_table_, [distinct](const auto& entry) {
+    return entry.second.rank >= distinct;
+  });
+  return Status::Ok();
+}
+
+std::vector<BpeModel::Piece> BpeModel::ApplyMerges(
+    std::string_view word) const {
+  std::vector<Piece> symbols;
+  symbols.reserve(word.size());
+  for (size_t i = 0; i < word.size();) {
+    const size_t length = CharLength(word, i);
+    // A character has at most 4 bytes and "<unk>" has 5, so kUnkId here
+    // means the character is outside the alphabet.
+    const TokenId id = vocab_.GetId(word.substr(i, length));
+    symbols.push_back(Piece{id == Vocab::kUnkId ? kNoToken : id, length});
+    i += length;
   }
 
-  if (!frozen_ && cache_.size() < 200000) cache_.emplace(word, symbols);
+  // pairs[i] is what joining symbols i and i + 1 would give. A merge only
+  // changes the pairs on either side of it, so only those are looked up
+  // again.
+  auto lookup = [this, &symbols](size_t i) {
+    auto it = merge_table_.find(PairId(symbols[i].id, symbols[i + 1].id));
+    return it == merge_table_.end() ? MergeTarget{kNoRank, 0} : it->second;
+  };
+  std::vector<MergeTarget> pairs;
+  pairs.reserve(symbols.size());
+  for (size_t i = 0; i + 1 < symbols.size(); ++i) pairs.push_back(lookup(i));
+  while (!pairs.empty()) {
+    // The lowest rank wins; the first position breaks ties.
+    size_t best = 0;
+    for (size_t i = 1; i < pairs.size(); ++i) {
+      if (pairs[i].rank < pairs[best].rank) best = i;
+    }
+    if (pairs[best].rank == kNoRank) break;
+    symbols[best].id = pairs[best].merged;
+    symbols[best].bytes += symbols[best + 1].bytes;
+    symbols.erase(symbols.begin() + static_cast<std::ptrdiff_t>(best) + 1);
+    pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(best));
+    if (best > 0) pairs[best - 1] = lookup(best - 1);
+    if (best < pairs.size()) pairs[best] = lookup(best);
+  }
+  for (Piece& symbol : symbols) {
+    if (symbol.id == kNoToken) symbol.id = Vocab::kUnkId;
+  }
   return symbols;
 }
 
 std::vector<Subword> BpeModel::EncodeWords(
     const std::vector<std::string>& words) const {
   std::vector<Subword> out;
+  std::vector<Piece> computed;
   for (size_t w = 0; w < words.size(); ++w) {
     const std::string prepared =
         lowercase_ ? AsciiToLower(words[w]) : words[w];
-    std::vector<std::string> pieces = ApplyMerges(prepared);
-    for (size_t p = 0; p < pieces.size(); ++p) {
+    const std::vector<Piece>* pieces = &computed;
+    auto cached = cache_.find(prepared);
+    if (cached != cache_.end()) {
+      pieces = &cached->second;
+    } else {
+      computed = ApplyMerges(prepared);
+      if (!frozen_ && cache_.size() < 200000) {
+        cache_.emplace(prepared, computed);
+      }
+    }
+    size_t offset = 0;
+    for (size_t p = 0; p < pieces->size(); ++p) {
+      const Piece& piece = (*pieces)[p];
       Subword sw;
-      sw.text = pieces[p];
-      sw.id = vocab_.GetId(pieces[p]);
+      sw.text = prepared.substr(offset, piece.bytes);
+      sw.id = piece.id;
       sw.word_index = w;
       sw.is_word_start = (p == 0);
       out.push_back(std::move(sw));
+      offset += piece.bytes;
     }
   }
   return out;
@@ -228,14 +290,15 @@ StatusOr<BpeModel> BpeModel::Deserialize(std::string_view data) {
   for (size_t i = 0; i < merge_count; ++i) {
     auto line = next_line();
     if (!line.ok()) return line.status();
+    // Exactly one separator: no trained rule holds one, and a part that did
+    // would make the line ambiguous.
     size_t sep = line->find(kRankSep);
-    if (sep == std::string::npos) {
+    if (sep == std::string::npos ||
+        line->find(kRankSep, sep + 1) != std::string::npos) {
       return DataLossError("bad merge rule line: " + *line);
     }
-    MergeRule rule{line->substr(0, sep), line->substr(sep + 1)};
-    model.merge_ranks_[PairKey(rule.left, rule.right)] =
-        model.merges_.size();
-    model.merges_.push_back(std::move(rule));
+    model.merges_.push_back(
+        MergeRule{line->substr(0, sep), line->substr(sep + 1)});
   }
   auto vocab_count_line = next_line();
   if (!vocab_count_line.ok()) return vocab_count_line.status();
@@ -246,6 +309,13 @@ StatusOr<BpeModel> BpeModel::Deserialize(std::string_view data) {
     if (!line.ok()) return line.status();
     model.vocab_.AddToken(*line);
   }
+  if (model.vocab_.size() != vocab_count) {
+    return DataLossError("bpe vocabulary declares " +
+                         std::to_string(vocab_count) + " tokens but holds " +
+                         std::to_string(model.vocab_.size()) +
+                         " distinct ones");
+  }
+  GOALEX_RETURN_IF_ERROR(model.Compile());
   return model;
 }
 

@@ -1,6 +1,7 @@
 #ifndef GOALEX_BPE_BPE_TOKENIZER_H_
 #define GOALEX_BPE_BPE_TOKENIZER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -62,30 +63,52 @@ class BpeModel {
   /// Serializes the model to a simple line-based format.
   std::string Serialize() const;
 
-  /// Restores a model from Serialize() output.
+  /// Restores a model from Serialize() output. A truncated or inconsistent
+  /// file (a token listed twice, a merge rule outside the vocabulary) is
+  /// DataLossError.
   static StatusOr<BpeModel> Deserialize(std::string_view data);
 
   /// Freezes the per-word encode cache: after this call Encode/EncodeWords
   /// never mutate the model, making concurrent encoding safe. Words absent
   /// from the cache are still encoded correctly (recomputed per call).
-  /// Called once the training corpus has been encoded (or after loading).
+  /// Call it once the training corpus has been encoded, so the frozen cache
+  /// holds the corpus words (a loaded model freezes with an empty cache).
   void Freeze() { frozen_ = true; }
   bool frozen() const { return frozen_; }
 
  private:
   BpeModel() = default;
 
-  /// Applies the merge table to one word, returning its subword strings.
-  std::vector<std::string> ApplyMerges(const std::string& word) const;
+  /// One symbol of a word being encoded: its vocabulary id and its length
+  /// in bytes (the text is the matching slice of the word).
+  struct Piece {
+    TokenId id = 0;
+    size_t bytes = 0;
+  };
+
+  /// What a merge rule turns an adjacent pair into.
+  struct MergeTarget {
+    size_t rank = 0;
+    TokenId merged = 0;
+  };
+
+  /// Compiles merges_ into merge_table_. Run wherever the merges become
+  /// final (end of Train and Deserialize). Fails if a rule's part or merged
+  /// string is not in the vocabulary.
+  Status Compile();
+
+  /// Applies the compiled merge table to one word.
+  std::vector<Piece> ApplyMerges(std::string_view word) const;
 
   Vocab vocab_;
   std::vector<MergeRule> merges_;
-  /// rank of each merge pair, keyed by "left\x1Fright".
-  std::unordered_map<std::string, size_t> merge_ranks_;
+  /// merges_ as integers: (left id, right id) packed into one key -> rank
+  /// and merged id. Encoding does no string lookups past the characters.
+  std::unordered_map<uint64_t, MergeTarget> merge_table_;
   bool lowercase_ = false;
-  /// Per-word encode cache (word -> subword strings). Lazily filled on the
-  /// hot path until Freeze(); immutable (and thus thread-safe) afterwards.
-  mutable std::unordered_map<std::string, std::vector<std::string>> cache_;
+  /// Per-word encode cache (word -> pieces). Lazily filled on the hot path
+  /// until Freeze(); immutable (and thus thread-safe) afterwards.
+  mutable std::unordered_map<std::string, std::vector<Piece>> cache_;
   bool frozen_ = false;
 };
 

@@ -124,6 +124,18 @@ void TransformerObjectiveDetector::Train(
   for (const LabeledBlock& block : blocks) corpus.push_back(block.text);
   tokenizer_ = std::make_unique<bpe::BpeModel>(bpe::BpeModel::Train(
       corpus, options_.bpe_merges, /*lowercase=*/true));
+
+  // Encode every block once up front — the id sequences are reused each
+  // epoch by all gradient slots. Freezing after this keeps the corpus words
+  // in the tokenizer's cache for inference.
+  std::vector<std::vector<int32_t>> encoded;
+  std::vector<int32_t> targets;
+  encoded.reserve(blocks.size());
+  targets.reserve(blocks.size());
+  for (const LabeledBlock& block : blocks) {
+    encoded.push_back(Encode(block.text));
+    targets.push_back(block.is_objective ? 1 : 0);
+  }
   tokenizer_->Freeze();
 
   nn::TransformerConfig arch;
@@ -138,17 +150,6 @@ void TransformerObjectiveDetector::Train(
   Rng init_rng(options_.seed);
   model_ = std::make_unique<nn::SequenceClassifier>(arch, /*num_classes=*/2,
                                                     init_rng);
-
-  // Encode every block once up front — the id sequences are reused each
-  // epoch by all gradient slots.
-  std::vector<std::vector<int32_t>> encoded;
-  std::vector<int32_t> targets;
-  encoded.reserve(blocks.size());
-  targets.reserve(blocks.size());
-  for (const LabeledBlock& block : blocks) {
-    encoded.push_back(Encode(block.text));
-    targets.push_back(block.is_objective ? 1 : 0);
-  }
 
   const int32_t slot_count =
       nn::DataParallelTrainer::SlotCount(options_.batch_size);

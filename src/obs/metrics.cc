@@ -123,9 +123,10 @@ double HistogramSnapshot::Quantile(double q) const {
 const std::vector<double>& DefaultLatencyBounds() {
   static const std::vector<double>* const kBounds = [] {
     auto* bounds = new std::vector<double>();
-    // 1-2.5-5 per decade, 10us .. 25s: fine enough for per-stage latency,
-    // coarse enough that a snapshot stays readable.
-    for (double decade = 1e-5; decade < 30.0; decade *= 10.0) {
+    // 1-2.5-5 per decade, 1us .. 25s: fine enough for per-stage latency
+    // (tokenize and decode take single-digit microseconds), coarse enough
+    // that a snapshot stays readable.
+    for (double decade = 1e-6; decade < 30.0; decade *= 10.0) {
       bounds->push_back(decade);
       bounds->push_back(decade * 2.5);
       bounds->push_back(decade * 5.0);

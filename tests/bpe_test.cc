@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "bpe/vocab.h"
+#include "common/string_util.h"
 
 namespace goalex::bpe {
 namespace {
@@ -143,6 +148,88 @@ TEST(BpeSerializeTest, RoundTripPreservesEncoding) {
 TEST(BpeSerializeTest, RejectsGarbage) {
   EXPECT_FALSE(BpeModel::Deserialize("not a model").ok());
   EXPECT_FALSE(BpeModel::Deserialize("").ok());
+}
+
+// Serialize() output with line `index` (0-based) replaced by `line`.
+std::string WithLine(const std::string& blob, size_t index,
+                     const std::string& line) {
+  std::vector<std::string> lines = StrSplit(blob, '\n');
+  lines.at(index) = line;
+  std::string out;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) out += '\n';
+    out += lines[i];
+  }
+  return out;
+}
+
+TEST(BpeSerializeTest, RejectsDuplicatedVocabularyLine) {
+  BpeModel model = BpeModel::Train(CorpusSmall(), 10);
+  const std::string blob = model.Serialize();
+  // Header, lowercase flag, merge count, merges, vocab count, then tokens
+  // from id 4: overwrite id 6's line with id 5's token.
+  const size_t first_token_line = 3 + model.merges().size() + 1;
+  const std::string corrupt = WithLine(blob, first_token_line + 2,
+                                       model.vocab().GetToken(5));
+  auto restored = BpeModel::Deserialize(corrupt);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(BpeSerializeTest, RejectsMergeRuleOutsideVocabulary) {
+  BpeModel model = BpeModel::Train(CorpusSmall(), 10);
+  ASSERT_FALSE(model.merges().empty());
+  const std::string blob = model.Serialize();
+  // Neither 'q' nor 'x' occurs in the corpus.
+  auto restored = BpeModel::Deserialize(WithLine(blob, 3, "q\x1Fx"));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  // A rule line holds exactly one separator.
+  const MergeRule& rule = model.merges()[0];
+  auto doubled = BpeModel::Deserialize(
+      WithLine(blob, 3, rule.left + "\x1F" + rule.right + "\x1F"));
+  ASSERT_FALSE(doubled.ok());
+  EXPECT_EQ(doubled.status().code(), StatusCode::kDataLoss);
+}
+
+// StreamPipeline workers share one frozen detector tokenizer. Every thread
+// encodes the same words, some in the frozen cache and some not, and must
+// get the serial result.
+TEST(BpeConcurrencyTest, FrozenModelEncodesIdenticallyFromManyThreads) {
+  BpeModel model = BpeModel::Train(CorpusSmall(), 40, /*lowercase=*/true);
+  const std::vector<std::string> cached = {"Reduce", "emissions", "2030",
+                                           "energy", "consumption"};
+  model.EncodeWords(cached);
+  model.Freeze();
+  std::vector<std::string> words = cached;
+  for (const char* word :
+       {"Reductions", "caf\xC3\xA9", "\xE2\x82\xAC" "5", "na\xC3\xAFve",
+        "\x80zero", "net\xE2\x82", "\xF0\x9F\x8C\x8Dwaste", "q!x",
+        "targets", "TARGETS"}) {
+    words.push_back(word);
+  }
+  const std::vector<Subword> serial = model.EncodeWords(words);
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<Subword> got = model.EncodeWords(words);
+        bool same = got.size() == serial.size();
+        for (size_t i = 0; same && i < got.size(); ++i) {
+          same = got[i].text == serial[i].text && got[i].id == serial[i].id &&
+                 got[i].word_index == serial[i].word_index &&
+                 got[i].is_word_start == serial[i].is_word_start;
+        }
+        if (!same) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 TEST(BpeDecodeTest, SkipsSpecials) {

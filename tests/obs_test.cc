@@ -93,6 +93,23 @@ TEST(HistogramTest, EmptySnapshotIsAllZero) {
   EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 0.0);
 }
 
+// Single-digit-microsecond stages (BPE encode, IOB decode) resolve: the
+// ladder starts at 1 us, so 3 us lands in (2.5 us, 5 us].
+TEST(HistogramTest, DefaultLatencyBoundsResolveMicroseconds) {
+  const std::vector<double>& bounds = DefaultLatencyBounds();
+  Histogram histogram(bounds);
+  histogram.Observe(3e-6);
+  const HistogramSnapshot snap = histogram.Snapshot();
+  const auto bucket =
+      std::find(snap.buckets.begin(), snap.buckets.end(), 1u) -
+      snap.buckets.begin();
+  ASSERT_GT(bucket, 0);
+  ASSERT_LT(static_cast<size_t>(bucket), bounds.size());
+  EXPECT_DOUBLE_EQ(bounds[static_cast<size_t>(bucket) - 1], 2.5e-6);
+  EXPECT_DOUBLE_EQ(bounds[static_cast<size_t>(bucket)], 5e-6);
+  EXPECT_DOUBLE_EQ(bounds.front(), 1e-6);
+}
+
 // Property: for any observation sequence, bucket counts sum to the total
 // count, each observation lands in exactly one bucket, and min <= mean <=
 // max.
@@ -170,14 +187,14 @@ TEST(HistogramTest, QuantileClampsToObservedRange) {
   // One sample far inside a wide bucket: the bucket's bounds were the old
   // answer, the sample is the right one.
   Histogram histogram(DefaultLatencyBounds());
-  histogram.Observe(2.5e-6);  // Below the smallest bound (10 us).
+  histogram.Observe(2.5e-7);  // Below the smallest bound (1 us).
   HistogramSnapshot snap = histogram.Snapshot();
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 2.5e-6);
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 2.5e-6);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 2.5e-7);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 2.5e-7);
   histogram.Observe(100.0);  // Past the largest bound: the +inf bucket.
   snap = histogram.Snapshot();
   EXPECT_DOUBLE_EQ(snap.Quantile(1.0), 100.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 2.5e-6);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 2.5e-7);
 }
 
 TEST(HistogramTest, QuantileMatchesUniformDistributionRoughly) {
