@@ -25,6 +25,7 @@
 #include "core/database.h"
 #include "eval/table.h"
 #include "eval/timer.h"
+#include "exec/executor.h"
 #include "runtime/thread_pool.h"
 #include "storage/segment.h"
 #include "values/value_normalizer.h"
@@ -73,11 +74,8 @@ double InsertAll(core::ObjectiveDatabase* db,
                  const std::vector<SyntheticRow>& rows, int threads) {
   runtime::ThreadPool pool(threads);
   eval::Timer timer;
-  pool.ParallelFor(rows.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      db->Insert(rows[i].record, rows[i].company, "report.pdf",
-                 rows[i].page);
-    }
+  exec::ParallelMap(pool, rows.size(), [&](size_t i) {
+    db->Insert(rows[i].record, rows[i].company, "report.pdf", rows[i].page);
   });
   return timer.Seconds();
 }

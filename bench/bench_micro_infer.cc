@@ -1,19 +1,19 @@
-// Microbenchmark of the inference engine (infer::PackedEngine), two
-// comparisons deep:
-//  - the engine run as one-member chunks (what Extract() does) vs the
-//    autograd evaluation path, at 1/4/8 calling threads;
-//  - padding-free packed batches (float and int8) vs one-member chunks,
-//    swept over batch sizes 1/8/64/512 with tokens-per-second per path.
+// Microbenchmark of the inference engine (infer::PackedEngine), which
+// predicts one sequence per call, two comparisons deep:
+//  - the float engine vs the autograd evaluation path, at 1/4/8 calling
+//    threads;
+//  - float vs int8 on the same traffic, swept over batch sizes
+//    1/8/64/512 with tokens-per-second per precision.
 // Correctness is checked while timing: the engine must match autograd
 // exactly (labels while timing part 1; full logits, not just argmax,
-// before the sweep). The three sweep paths run interleaved round-robin
+// before the sweep). The two sweep paths run interleaved round-robin
 // within one process so machine throughput drift hits them equally. Each
 // configuration emits one machine-readable JSON row for trend tracking.
 //
 // --smoke runs the batch-64 sweep only and turns four properties into
 // hard CHECKs (CI runs this on every push):
-//  - packed float logits bit-identical to the autograd evaluation path;
-//  - packed int8 throughput >= 1.05x packed float at batch 64;
+//  - float logits bit-identical to the autograd evaluation path;
+//  - int8 throughput >= 1.05x float at batch 64;
 //  - int8 extraction F1 within 0.5 points of float on a held-out split
 //    (same trained weights via Save/Load);
 //  - int8 ExtractAll() records identical to per-objective int8 Extract().
@@ -56,20 +56,6 @@ std::vector<std::vector<int32_t>> MakeTraffic(
   return traffic;
 }
 
-std::vector<const std::vector<int32_t>*> Ptrs(
-    const std::vector<std::vector<int32_t>>& batch) {
-  std::vector<const std::vector<int32_t>*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const std::vector<int32_t>& seq : batch) ptrs.push_back(&seq);
-  return ptrs;
-}
-
-/// The engine's labels for one sequence, as a one-member chunk.
-std::vector<int32_t> PredictOne(const infer::PackedEngine& engine,
-                                const std::vector<int32_t>& ids) {
-  return std::move(engine.PredictBatch({&ids})[0]);
-}
-
 /// Runs `predict` over the traffic partitioned across `threads` workers and
 /// returns wall-clock seconds.
 template <typename Predict>
@@ -94,89 +80,71 @@ double TimedRun(const std::vector<std::vector<int32_t>>& traffic,
   return timer.Seconds();
 }
 
-/// CHECKs that the packed float engine reproduces the autograd evaluation
-/// path bit-for-bit on `batch`: per-token labels and full logits.
-void CheckPackedBitIdentity(const nn::TokenClassifier& model,
-                            const infer::PackedEngine& packed,
-                            const std::vector<std::vector<int32_t>>& batch) {
-  std::vector<std::vector<int32_t>> labels = packed.PredictBatch(Ptrs(batch));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    GOALEX_CHECK_MSG(labels[i] == model.Predict(batch[i]),
-                     "packed float labels diverge from autograd");
-  }
-  std::vector<infer::PackedChunk> chunks = infer::PackByLength(
-      Ptrs(batch), packed.max_seq_len(), packed.chunk_tokens());
-  for (const infer::PackedChunk& chunk : chunks) {
-    infer::PackedEngine::ChunkLogits logits = packed.ForwardChunk(chunk);
-    for (int64_t s = 0; s < chunk.size(); ++s) {
-      const tensor::Var ref = model.ForwardLogits(batch[chunk.sequence[s]]);
-      const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-      GOALEX_CHECK(ref->value().dim(0) == t);
-      for (int64_t p = 0; p < t; ++p) {
-        const float* got = logits.data + (chunk.offsets[s] + p) * logits.cols;
-        for (int64_t j = 0; j < packed.num_labels(); ++j) {
-          GOALEX_CHECK_MSG(got[j] == ref->value().at(p, j),
-                           "packed float logits diverge from autograd");
-        }
+/// CHECKs that the float engine reproduces the autograd evaluation path
+/// bit-for-bit on `batch`: per-token labels and full logits.
+void CheckBitIdentity(const nn::TokenClassifier& model,
+                      const infer::PackedEngine& engine,
+                      const std::vector<std::vector<int32_t>>& batch) {
+  for (const std::vector<int32_t>& ids : batch) {
+    GOALEX_CHECK_MSG(engine.Predict(ids) == model.Predict(ids),
+                     "engine float labels diverge from autograd");
+    const infer::PackedEngine::Logits logits = engine.Forward(ids);
+    const tensor::Var ref = model.ForwardLogits(ids);
+    GOALEX_CHECK(ref->value().dim(0) == logits.rows);
+    for (int64_t p = 0; p < logits.rows; ++p) {
+      const float* got = logits.data + p * logits.cols;
+      for (int64_t j = 0; j < engine.num_labels(); ++j) {
+        GOALEX_CHECK_MSG(got[j] == ref->value().at(p, j),
+                         "engine float logits diverge from autograd");
       }
     }
   }
 }
 
-/// One packed-sweep configuration: one-member chunks vs packed float vs
-/// packed int8, interleaved rounds, tokens/sec per path. Returns the int8
-/// speedup over packed float (the smoke-gated number).
-double RunPackedSweep(const nn::TokenClassifier& model, size_t batch_size,
-                      Rng& rng, eval::TextTable& table) {
-  infer::PackedEngine packed_float(model, infer::PackedEngineOptions{});
+/// One sweep configuration: float vs int8 engines over the same batch of
+/// traffic, one sequence per call, interleaved rounds, tokens/sec per
+/// precision. Returns the int8 speedup over float (the smoke-gated
+/// number).
+double RunPrecisionSweep(const nn::TokenClassifier& model, size_t batch_size,
+                         Rng& rng, eval::TextTable& table) {
+  const infer::PackedEngine float_engine(model, infer::PackedEngineOptions{});
   infer::PackedEngineOptions int8_options;
   int8_options.quantize_int8 = true;
-  infer::PackedEngine packed_int8(model, int8_options);
+  const infer::PackedEngine int8_engine(model, int8_options);
 
   std::vector<std::vector<int32_t>> batch =
       MakeTraffic(model.encoder().config(), batch_size, rng);
-  std::vector<const std::vector<int32_t>*> ptrs = Ptrs(batch);
   int64_t batch_tokens = 0;
   for (const auto& seq : batch) {
     batch_tokens += static_cast<int64_t>(seq.size());
   }
 
-  // Enough rounds that each path sees ~200k tokens; interleave the three
-  // paths inside every round so throughput drift hits them equally.
+  // Enough rounds that each path sees ~200k tokens; interleave the two
+  // precisions inside every round so throughput drift hits them equally.
   const int rounds = static_cast<int>(
       std::max<int64_t>(3, 200000 / std::max<int64_t>(1, batch_tokens)));
-  auto run_single = [&] {
-    for (const auto& seq : batch) PredictOne(packed_float, seq);
+  auto run = [&batch](const infer::PackedEngine& engine) {
+    for (const auto& seq : batch) engine.Predict(seq);
   };
-  auto run_float = [&] { packed_float.PredictBatch(ptrs); };
-  auto run_int8 = [&] { packed_int8.PredictBatch(ptrs); };
-  run_single();  // Warm all three paths before timing.
-  run_float();
-  run_int8();
+  run(float_engine);  // Warm both paths before timing.
+  run(int8_engine);
 
-  double single_s = 0.0;
   double float_s = 0.0;
   double int8_s = 0.0;
   for (int r = 0; r < rounds; ++r) {
     {
       eval::Timer timer;
-      run_single();
-      single_s += timer.Seconds();
-    }
-    {
-      eval::Timer timer;
-      run_float();
+      run(float_engine);
       float_s += timer.Seconds();
     }
     {
       eval::Timer timer;
-      run_int8();
+      run(int8_engine);
       int8_s += timer.Seconds();
     }
   }
   const double tokens =
       static_cast<double>(batch_tokens) * static_cast<double>(rounds);
-  const double single_tps = tokens / single_s;
   const double float_tps = tokens / float_s;
   const double int8_tps = tokens / int8_s;
   auto fmt = [](double v, int precision) {
@@ -184,16 +152,13 @@ double RunPackedSweep(const nn::TokenClassifier& model, size_t batch_size,
     std::snprintf(buffer, sizeof(buffer), "%.*f", precision, v);
     return std::string(buffer);
   };
-  table.AddRow({std::to_string(batch_size), fmt(single_tps, 0),
-                fmt(float_tps, 0), fmt(int8_tps, 0),
-                fmt(float_tps / single_tps, 2), fmt(int8_tps / float_tps, 2)});
+  table.AddRow({std::to_string(batch_size), fmt(float_tps, 0),
+                fmt(int8_tps, 0), fmt(int8_tps / float_tps, 2)});
   std::printf(
-      "{\"bench\":\"micro_infer\",\"mode\":\"packed\",\"batch\":%zu,"
-      "\"rounds\":%d,\"single_tokens_per_s\":%.0f,"
-      "\"packed_float_tokens_per_s\":%.0f,\"packed_int8_tokens_per_s\":%.0f,"
-      "\"float_speedup\":%.3f,\"int8_over_float\":%.3f}\n",
-      batch_size, rounds, single_tps, float_tps, int8_tps,
-      float_tps / single_tps, int8_tps / float_tps);
+      "{\"bench\":\"micro_infer\",\"mode\":\"precision\",\"batch\":%zu,"
+      "\"rounds\":%d,\"float_tokens_per_s\":%.0f,"
+      "\"int8_tokens_per_s\":%.0f,\"int8_over_float\":%.3f}\n",
+      batch_size, rounds, float_tps, int8_tps, int8_tps / float_tps);
   return int8_tps / float_tps;
 }
 
@@ -292,13 +257,13 @@ void Run(bool smoke) {
   };
 
   if (!smoke) {
-    // Part 1: one-member chunks vs autograd across calling threads.
+    // Part 1: the engine vs autograd across calling threads.
     Rng traffic_rng(14);
     std::vector<std::vector<int32_t>> traffic =
         MakeTraffic(config, /*count=*/1500, traffic_rng);
     // Exactness first: every timed prediction pair must agree.
     for (const auto& ids : traffic) {
-      GOALEX_CHECK(PredictOne(engine, ids) == model.Predict(ids));
+      GOALEX_CHECK(engine.Predict(ids) == model.Predict(ids));
     }
     std::printf("engine vs autograd: %zu sequences (outputs identical)\n\n",
                 traffic.size());
@@ -313,11 +278,11 @@ void Run(bool smoke) {
           traffic, threads,
           [&](const std::vector<int32_t>& ids) { model.Predict(ids); });
       TimedRun(traffic, threads, [&](const std::vector<int32_t>& ids) {
-        PredictOne(engine, ids);
+        engine.Predict(ids);
       });
       double engine_s = TimedRun(traffic, threads,
                                  [&](const std::vector<int32_t>& ids) {
-                                   PredictOne(engine, ids);
+                                   engine.Predict(ids);
                                  });
       double speedup = autograd_s / engine_s;
       double n = static_cast<double>(traffic.size());
@@ -335,32 +300,31 @@ void Run(bool smoke) {
     std::printf("\n%s\n", table.Render().c_str());
   }
 
-  // Part 2: packed-batch sweep. Bit-identity is checked before timing.
+  // Part 2: float vs int8 sweep. Bit-identity is checked before timing.
   {
     Rng check_rng(15);
-    CheckPackedBitIdentity(model, engine, MakeTraffic(config, 64, check_rng));
-    std::printf("packed float verified bit-identical to autograd\n\n");
+    CheckBitIdentity(model, engine, MakeTraffic(config, 64, check_rng));
+    std::printf("engine float verified bit-identical to autograd\n\n");
   }
-  eval::TextTable packed_table({"Batch", "Single tok/s", "Packed f32 tok/s",
-                                "Packed int8 tok/s", "f32 / single",
-                                "int8 / f32"});
+  eval::TextTable sweep_table(
+      {"Batch", "f32 tok/s", "int8 tok/s", "int8 / f32"});
   double int8_over_float_at_64 = 0.0;
   Rng sweep_rng(16);
   const std::vector<size_t> batches =
       smoke ? std::vector<size_t>{64} : std::vector<size_t>{1, 8, 64, 512};
   for (size_t batch_size : batches) {
     double int8_over_float =
-        RunPackedSweep(model, batch_size, sweep_rng, packed_table);
+        RunPrecisionSweep(model, batch_size, sweep_rng, sweep_table);
     if (batch_size == 64) int8_over_float_at_64 = int8_over_float;
   }
-  std::printf("\n%s\n", packed_table.Render().c_str());
+  std::printf("\n%s\n", sweep_table.Render().c_str());
 
   if (smoke) {
-    // CI gate: int8 below 1.05x packed float at batch 64 means the
-    // quantized kernels lost their reason to exist.
+    // CI gate: int8 below 1.05x float at batch 64 means the quantized
+    // kernels lost their reason to exist.
     GOALEX_CHECK_MSG(int8_over_float_at_64 >= 1.05,
-                     "packed int8 inference regressed below 1.05x packed "
-                     "float at batch 64");
+                     "int8 inference regressed below 1.05x float at batch "
+                     "64");
     CheckInt8F1Parity();
   }
   EmitMetricsSnapshot("inference engine run");

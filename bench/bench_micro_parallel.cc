@@ -1,7 +1,7 @@
-// Microbenchmark of the parallel batched inference runtime: serial vs
+// Microbenchmark of the parallel fan-out (exec::ParallelMap): serial vs
 // parallel throughput of DetailExtractor::ExtractAll and
 // WeakLabeler::LabelAll, verifying on the way that the parallel outputs
-// are identical to the serial ones (the runtime is order-preserving).
+// are identical to the serial ones (the map is order-preserving).
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,7 +11,6 @@
 #include "eval/table.h"
 #include "eval/timer.h"
 #include "obs/metrics.h"
-#include "runtime/batch_runner.h"
 #include "runtime/stats.h"
 #include "runtime/thread_pool.h"
 #include "weaksup/weak_labeler.h"
@@ -33,7 +32,7 @@ int ParallelThreads() {
 
 void Run() {
   int parallel_threads = ParallelThreads();
-  std::printf("Microbenchmark: parallel batched inference runtime\n");
+  std::printf("Microbenchmark: parallel fan-out (exec::ParallelMap)\n");
   std::printf("hardware threads: %d, parallel runs use: %d\n\n",
               runtime::ThreadPool::DefaultThreadCount(), parallel_threads);
 
@@ -74,46 +73,6 @@ void Run() {
   std::printf("parallel ExtractAll output is identical to serial (%zu "
               "records checked)\n\n",
               serial_records.size());
-
-  // Packed ExtractAll vs batch-map mode. ExtractAll tokenizes everything,
-  // then predicts length-packed chunks and decodes per objective on a task
-  // graph; the batch path below is the pre-refactor shape — one opaque
-  // Extract() task (one-member chunk) per objective on a BatchRunner map —
-  // still expressible and used here as the throughput baseline.
-  runtime::BatchRunner batch_runner(parallel_threads);
-  std::vector<data::DetailRecord> batch_records =
-      batch_runner.Map<data::DetailRecord>(
-          objectives.size(),
-          [&](size_t i) { return extractor.Extract(objectives[i]); });
-  const runtime::Stats batch = batch_runner.last_stats();
-  runtime::Stats packed;
-  std::vector<data::DetailRecord> packed_records =
-      extractor.ExtractAll(objectives, parallel_threads, &packed);
-  GOALEX_CHECK_EQ(batch_records.size(), packed_records.size());
-  for (size_t i = 0; i < batch_records.size(); ++i) {
-    GOALEX_CHECK(batch_records[i].fields == packed_records[i].fields);
-  }
-  std::printf("packed ExtractAll output is identical to the batch map "
-              "path (%zu records checked)\n\n",
-              batch_records.size());
-
-  eval::TextTable pipeline_table(
-      {"Mode", "Threads", "Seconds", "Items/s", "Utilization"});
-  auto fmt_early = [](double v, int precision) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.*f", precision, v);
-    return std::string(buffer);
-  };
-  pipeline_table.AddRow({"batch map", std::to_string(batch.threads),
-                         fmt_early(batch.seconds, 2),
-                         fmt_early(batch.ItemsPerSecond(), 1),
-                         fmt_early(batch.Utilization(), 2)});
-  pipeline_table.AddRow({"packed ExtractAll (task graph)",
-                         std::to_string(packed.threads),
-                         fmt_early(packed.seconds, 2),
-                         fmt_early(packed.ItemsPerSecond(), 1),
-                         fmt_early(packed.Utilization(), 2)});
-  std::printf("%s\n", pipeline_table.Render().c_str());
 
   weaksup::WeakLabeler labeler(&extractor.catalog(),
                                config.weak_labeler);

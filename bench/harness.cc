@@ -13,9 +13,10 @@
 #include "crf/features.h"
 #include "data/generator.h"
 #include "eval/timer.h"
+#include "exec/executor.h"
 #include "labels/iob.h"
 #include "llm/llm_extractor.h"
-#include "runtime/batch_runner.h"
+#include "runtime/thread_pool.h"
 #include "text/normalizer.h"
 #include "text/word_tokenizer.h"
 #include "weaksup/weak_labeler.h"
@@ -141,31 +142,29 @@ ApproachResult RunCrfBaseline(const data::Split& split, Corpus corpus) {
   // self-contained, so each test objective is predicted on a worker;
   // prediction i always belongs to test objective i.
   text::WordTokenizer tokenizer;
-  runtime::BatchRunner runner(/*num_threads=*/0);
-  std::vector<data::DetailRecord> predictions =
-      runner.Map<data::DetailRecord>(split.test.size(), [&](size_t idx) {
-        const data::Objective& objective = split.test[idx];
-        std::string normalized = text::Normalize(objective.text);
-        std::vector<text::Token> tokens = tokenizer.Tokenize(normalized);
-        data::DetailRecord record;
-        record.objective_id = objective.id;
-        record.objective_text = objective.text;
-        if (!tokens.empty()) {
-          std::vector<std::string> words;
-          for (const text::Token& t : tokens) words.push_back(t.text);
-          std::vector<labels::LabelId> predicted = model.Predict(
-              crf::ExtractFeatures(words, crf::FeatureTemplate::kBasic));
-          for (const labels::Span& span : catalog.DecodeSpans(predicted)) {
-            const std::string& kind =
-                catalog.kinds()[static_cast<size_t>(span.kind)];
-            if (record.fields.count(kind) > 0) continue;
-            size_t begin = tokens[span.begin].begin;
-            size_t end = tokens[span.end - 1].end;
-            record.fields[kind] = normalized.substr(begin, end - begin);
-          }
-        }
-        return record;
-      });
+  std::vector<data::DetailRecord> predictions(split.test.size());
+  runtime::ThreadPool pool(/*num_threads=*/0);
+  exec::ParallelMap(pool, split.test.size(), [&](size_t idx) {
+    const data::Objective& objective = split.test[idx];
+    std::string normalized = text::Normalize(objective.text);
+    std::vector<text::Token> tokens = tokenizer.Tokenize(normalized);
+    data::DetailRecord& record = predictions[idx];
+    record.objective_id = objective.id;
+    record.objective_text = objective.text;
+    if (tokens.empty()) return;
+    std::vector<std::string> words;
+    for (const text::Token& t : tokens) words.push_back(t.text);
+    std::vector<labels::LabelId> predicted = model.Predict(
+        crf::ExtractFeatures(words, crf::FeatureTemplate::kBasic));
+    for (const labels::Span& span : catalog.DecodeSpans(predicted)) {
+      const std::string& kind =
+          catalog.kinds()[static_cast<size_t>(span.kind)];
+      if (record.fields.count(kind) > 0) continue;
+      size_t begin = tokens[span.begin].begin;
+      size_t end = tokens[span.end - 1].end;
+      record.fields[kind] = normalized.substr(begin, end - begin);
+    }
+  });
 
   ApproachResult result;
   result.minutes = timer.Minutes();

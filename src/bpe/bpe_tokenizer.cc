@@ -144,16 +144,16 @@ Status BpeModel::Compile() {
       return DataLossError("merge rule " + std::to_string(rank) +
                            " is outside the vocabulary");
     }
-    // A pair listed twice keeps its later rank.
-    merge_table_[PairId(vocab_.GetId(rule.left), vocab_.GetId(rule.right))] =
-        MergeTarget{rank, vocab_.GetId(merged)};
+    // Train never lists a pair twice: a merged pair's count drops to zero.
+    if (!merge_table_
+             .emplace(PairId(vocab_.GetId(rule.left),
+                             vocab_.GetId(rule.right)),
+                      MergeTarget{rank, vocab_.GetId(merged)})
+             .second) {
+      return DataLossError("merge rule " + std::to_string(rank) +
+                           " repeats an earlier pair");
+    }
   }
-  // Encoding has always searched only below the number of distinct pairs,
-  // so when a pair is listed twice the highest ranks never apply.
-  const size_t distinct = merge_table_.size();
-  std::erase_if(merge_table_, [distinct](const auto& entry) {
-    return entry.second.rank >= distinct;
-  });
   return Status::Ok();
 }
 

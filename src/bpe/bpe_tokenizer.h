@@ -64,8 +64,8 @@ class BpeModel {
   std::string Serialize() const;
 
   /// Restores a model from Serialize() output. A truncated or inconsistent
-  /// file (a token listed twice, a merge rule outside the vocabulary) is
-  /// DataLossError.
+  /// file (a token listed twice, a merge rule outside the vocabulary, a
+  /// merge pair listed twice) is DataLossError.
   static StatusOr<BpeModel> Deserialize(std::string_view data);
 
   /// Freezes the per-word encode cache: after this call Encode/EncodeWords
@@ -94,7 +94,7 @@ class BpeModel {
 
   /// Compiles merges_ into merge_table_. Run wherever the merges become
   /// final (end of Train and Deserialize). Fails if a rule's part or merged
-  /// string is not in the vocabulary.
+  /// string is not in the vocabulary, or if a pair is listed twice.
   Status Compile();
 
   /// Applies the compiled merge table to one word.

@@ -77,17 +77,16 @@ struct ExtractorConfig {
   /// entirely with -DGOALEX_DISABLE_METRICS; outputs never depend on it.
   bool enable_metrics = true;
 
-  /// Packed-token capacity of one inference chunk (DESIGN.md §14): batch
-  /// extraction (`ExtractAll` and the serve handler) buckets clauses by
-  /// token length and runs each bucket as one padding-free packed forward.
-  /// Bounds peak activation memory per predict node and sets the
-  /// batch-fill metric's denominator; a clause longer than this still
-  /// runs, in an oversize bucket of its own.
+  /// Retired: the packed-token capacity of the cross-sequence packing
+  /// that batch extraction no longer does (every clause predicts as one
+  /// sequence). It reaches no code path; the field and its config.txt key
+  /// remain only so saved configs still load and the benchmark code that
+  /// reads the field still builds.
   int32_t packed_chunk_tokens = 512;
 
   /// Run the inference engine's linear layers as int8 (per-output-channel
   /// weight scales, per-row activation quantization, int32 accumulation —
-  /// tensor/qlinear.h). Roughly another ~1.1x on packed throughput, but
+  /// tensor/qlinear.h). Roughly another ~1.1x on engine throughput, but
   /// outputs are no longer bit-identical to float: extraction F1 stays
   /// within 0.5 points (gated by bench_micro_infer --smoke). Off by
   /// default. Applies to every predict path alike — Extract(),
@@ -162,8 +161,9 @@ struct ServeConfig {
   /// bench_serve; the scheduler itself never drops an admitted request.
   double slo_p99_ms = 50.0;
 
-  /// Worker threads of the BatchRunner the service dispatches batches
-  /// onto: 0 = auto, 1 = serial (inference runs on the scheduler thread).
+  /// Worker threads of the pool the service maps each batch onto
+  /// (exec::ParallelMap): 0 = auto, 1 = serial (inference runs on the
+  /// scheduler thread).
   int32_t num_threads = 1;
 
   /// EMA smoothing factor for the per-request service-time estimate in

@@ -1,14 +1,11 @@
 #include "core/extractor.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.h"
 #include "eval/timer.h"
 #include "exec/executor.h"
-#include "exec/graph.h"
-#include "exec/lifetime.h"
 #include "obs/scope.h"
 #include "runtime/thread_pool.h"
 #include "nn/adam.h"
@@ -212,64 +209,49 @@ void DetailExtractor::RebuildEngine() {
   GOALEX_CHECK(model_ != nullptr);
   engine_.reset();
   infer::PackedEngineOptions options;
-  options.chunk_tokens = config_.packed_chunk_tokens;
   options.quantize_int8 = config_.quantize_int8;
   engine_ = std::make_unique<infer::PackedEngine>(*model_, options);
-}
-
-void DetailExtractor::TokenizeStage(const std::string& text,
-                                    StagedClause& clause) const {
-  obs::ScopedTimer tokenize_timer(
-      InstrumentNow() ? metrics_.tokenize_seconds : nullptr);
-  WordPrediction& out = clause.prediction;
-  out.prepared = Prepare(text);
-  out.tokens = word_tokenizer_.Tokenize(out.prepared);
-  if (out.tokens.empty()) return;
-
-  std::vector<std::string> words;
-  words.reserve(out.tokens.size());
-  for (const text::Token& t : out.tokens) words.push_back(t.text);
-  clause.subwords = tokenizer_->EncodeWords(words);
-
-  clause.ids.clear();
-  clause.ids.push_back(bpe::Vocab::kBosId);
-  for (const bpe::Subword& sw : clause.subwords) clause.ids.push_back(sw.id);
-  clause.ids.push_back(bpe::Vocab::kEosId);
-}
-
-void DetailExtractor::PredictStage(StagedClause& clause) const {
-  obs::ScopedTimer predict_timer(
-      InstrumentNow() ? metrics_.predict_seconds : nullptr);
-  // A one-member chunk: every member of a packed chunk predicts exactly as
-  // it would alone, so this matches the batch path bit for bit.
-  clause.predictions = std::move(engine_->PredictBatch({&clause.ids})[0]);
-}
-
-void DetailExtractor::DecodeStage(StagedClause& clause) const {
-  WordPrediction& out = clause.prediction;
-  out.word_labels.assign(out.tokens.size(),
-                         labels::LabelCatalog::kOutsideId);
-  // Position p in the prediction corresponds to subword p-1 (skip BOS);
-  // the tail may be truncated by max_seq_len.
-  for (size_t p = 1; p < clause.predictions.size(); ++p) {
-    size_t sub = p - 1;
-    if (sub >= clause.subwords.size()) break;  // EOS or truncation.
-    if (clause.subwords[sub].is_word_start) {
-      out.word_labels[clause.subwords[sub].word_index] =
-          clause.predictions[p];
-    }
-  }
 }
 
 DetailExtractor::WordPrediction DetailExtractor::PredictPrepared(
     const std::string& text) const {
   GOALEX_CHECK_MSG(model_ != nullptr, "extractor is not trained");
-  StagedClause clause;
-  TokenizeStage(text, clause);
-  if (clause.prediction.tokens.empty()) return std::move(clause.prediction);
-  PredictStage(clause);
-  DecodeStage(clause);
-  return std::move(clause.prediction);
+  const bool instrument = InstrumentNow();
+  WordPrediction out;
+  std::vector<bpe::Subword> subwords;
+  std::vector<int32_t> ids;
+  {
+    obs::ScopedTimer tokenize_timer(instrument ? metrics_.tokenize_seconds
+                                               : nullptr);
+    out.prepared = Prepare(text);
+    out.tokens = word_tokenizer_.Tokenize(out.prepared);
+    if (out.tokens.empty()) return out;  // Nothing to predict.
+    std::vector<std::string> words;
+    words.reserve(out.tokens.size());
+    for (const text::Token& t : out.tokens) words.push_back(t.text);
+    subwords = tokenizer_->EncodeWords(words);
+    ids.reserve(subwords.size() + 2);
+    ids.push_back(bpe::Vocab::kBosId);
+    for (const bpe::Subword& sw : subwords) ids.push_back(sw.id);
+    ids.push_back(bpe::Vocab::kEosId);
+  }
+  std::vector<int32_t> predictions;
+  {
+    obs::ScopedTimer predict_timer(instrument ? metrics_.predict_seconds
+                                              : nullptr);
+    predictions = engine_->Predict(ids);
+  }
+  out.word_labels.assign(out.tokens.size(), labels::LabelCatalog::kOutsideId);
+  // Position p in the prediction corresponds to subword p-1 (skip BOS);
+  // the tail may be truncated by max_seq_len.
+  for (size_t p = 1; p < predictions.size(); ++p) {
+    const size_t sub = p - 1;
+    if (sub >= subwords.size()) break;  // EOS or truncation.
+    if (subwords[sub].is_word_start) {
+      out.word_labels[subwords[sub].word_index] = predictions[p];
+    }
+  }
+  return out;
 }
 
 std::vector<labels::LabelId> DetailExtractor::PredictWordLabels(
@@ -399,125 +381,18 @@ std::vector<data::DetailRecord> DetailExtractor::ExtractBatchImpl(
     const std::vector<const data::Objective*>& objectives,
     runtime::ThreadPool& pool, runtime::Stats* stats) const {
   GOALEX_CHECK_MSG(model_ != nullptr, "extractor is not trained");
-  const size_t n = objectives.size();
-  std::vector<data::DetailRecord> out(n);
-  runtime::Stats run_stats;
-  run_stats.items = n;
-  run_stats.threads = pool.thread_count();
-  if (n == 0) {
-    if (stats != nullptr) *stats = run_stats;
-    return out;
-  }
-
-  // Pipeline state held between an objective's stage nodes; released at
-  // the decode node (its last use). Packing needs every clause's tokens
-  // before it can form chunks, so all n objectives hold staged state
-  // between the tokenize barrier and their decode node.
-  struct StagedObjective {
-    std::vector<std::string> clause_texts;
-    std::vector<StagedClause> clauses;
-  };
-  std::vector<StagedObjective> staged(n);
-  const bool instrument = InstrumentNow();
-
-  // Two phases on one pool (DESIGN.md §14). Phase 1: tokenize every
-  // objective.
-  eval::Timer timer;
-  double busy = 0.0;
-  exec::Executor tokenize_executor(&pool);
-  {
-    exec::Graph tokenize_graph;
-    for (size_t i = 0; i < n; ++i) {
-      tokenize_graph.Add([this, i, &objectives, &staged, instrument] {
-        if (instrument) metrics_.objectives->Increment();
-        StagedObjective& obj = staged[i];
-        obj.clause_texts = ClauseTexts(objectives[i]->text);
-        obj.clauses.resize(obj.clause_texts.size());
-        for (size_t c = 0; c < obj.clause_texts.size(); ++c) {
-          TokenizeStage(obj.clause_texts[c], obj.clauses[c]);
-        }
+  std::vector<data::DetailRecord> out(objectives.size());
+  const exec::RunStats run =
+      exec::ParallelMap(pool, objectives.size(), [&](size_t i) {
+        out[i] = Extract(*objectives[i]);
       });
-    }
-    GOALEX_CHECK_OK(tokenize_executor.Run(tokenize_graph));
-    busy += tokenize_executor.last_run().busy_seconds;
-  }
-
-  // Pack the non-empty clauses of the whole batch by token length.
-  // clause_seq[i][c] maps objective i's clause c to its slot in the packed
-  // submission (-1 = nothing to predict), owner maps a slot back to its
-  // objective.
-  std::vector<const std::vector<int32_t>*> sequences;
-  std::vector<std::vector<int64_t>> clause_seq(n);
-  std::vector<size_t> owner;
-  for (size_t i = 0; i < n; ++i) {
-    StagedObjective& obj = staged[i];
-    clause_seq[i].assign(obj.clauses.size(), -1);
-    for (size_t c = 0; c < obj.clauses.size(); ++c) {
-      if (obj.clauses[c].prediction.tokens.empty()) continue;
-      clause_seq[i][c] = static_cast<int64_t>(sequences.size());
-      sequences.push_back(&obj.clauses[c].ids);
-      owner.push_back(i);
-    }
-  }
-  const std::vector<infer::PackedChunk> chunks = infer::PackByLength(
-      sequences, engine_->max_seq_len(), engine_->chunk_tokens());
-
-  // Phase 2: one predict node per chunk (scratch-leased, so the packed
-  // activations count into exec.scratch.peak_bytes and their arenas are
-  // reused across chunks), and one decode node per objective depending on
-  // exactly the chunks that carry its clauses.
-  std::vector<std::vector<int32_t>> labels(sequences.size());
-  exec::ScratchPool scratch_pool;
-  exec::Executor executor(&pool, &scratch_pool);
-  exec::Graph graph;
-  std::vector<std::vector<exec::NodeId>> deps(n);
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    const exec::NodeId predict = graph.Add(
-        [this, &chunks, ci, &labels] {
-          obs::ScopedTimer predict_timer(
-              InstrumentNow() ? metrics_.predict_seconds : nullptr);
-          engine_->PredictChunk(chunks[ci], labels);
-        },
-        {}, exec::NodeOptions{.uses_scratch = true});
-    for (size_t s : chunks[ci].sequence) deps[owner[s]].push_back(predict);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<exec::NodeId>& d = deps[i];
-    std::sort(d.begin(), d.end());
-    d.erase(std::unique(d.begin(), d.end()), d.end());
-    graph.Add(
-        [this, i, &objectives, &staged, &out, &labels, &clause_seq] {
-          StagedObjective& obj = staged[i];
-          std::vector<data::DetailRecord> parts;
-          parts.reserve(obj.clauses.size());
-          const bool single = obj.clauses.size() == 1;
-          for (size_t c = 0; c < obj.clauses.size(); ++c) {
-            StagedClause& clause = obj.clauses[c];
-            if (!clause.prediction.tokens.empty()) {
-              clause.predictions =
-                  std::move(labels[static_cast<size_t>(clause_seq[i][c])]);
-              DecodeStage(clause);
-            }
-            data::Objective clause_obj;
-            clause_obj.id = objectives[i]->id;
-            // Single-target objectives decode against the original text,
-            // exactly like Extract().
-            clause_obj.text =
-                single ? objectives[i]->text : obj.clause_texts[c];
-            parts.push_back(DecodeRecord(clause_obj, clause.prediction));
-          }
-          out[i] = MergeClauseRecords(*objectives[i], parts);
-          staged[i] = StagedObjective{};  // Last use: free staged state.
-        },
-        std::move(d));
-  }
-  GOALEX_CHECK_OK(executor.Run(graph));
-  busy += executor.last_run().busy_seconds;
-
-  run_stats.seconds = timer.Seconds();
-  run_stats.busy_seconds = busy;
+  runtime::Stats run_stats;
+  run_stats.items = objectives.size();
+  run_stats.threads = pool.thread_count();
+  run_stats.seconds = run.wall_seconds;
+  run_stats.busy_seconds = run.busy_seconds;
   if (stats != nullptr) *stats = run_stats;
-  if (instrument) {
+  if (InstrumentNow() && !objectives.empty()) {
     metrics_.objectives_per_second->Set(run_stats.ItemsPerSecond());
   }
   return out;

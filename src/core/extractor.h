@@ -61,20 +61,13 @@ class DetailExtractor {
                    nullptr);
 
   /// Extracts the key details of one objective. Requires a trained (or
-  /// loaded) model. Each clause predicts as a one-member packed chunk on
-  /// the engine the batch paths use.
+  /// loaded) model. Each clause predicts as one sequence on the engine.
   data::DetailRecord Extract(const data::Objective& objective) const;
 
-  /// Extracts details for a whole collection on a work-stealing executor,
-  /// in two phases: tokenize every objective, then pack all clauses by
-  /// length and run one predict node per packed chunk, with each
-  /// objective's decode node depending on exactly the chunks that carry
-  /// its clauses. Packing needs every length first, so all n objectives
-  /// hold tokenized state until their decode node frees it: memory grows
-  /// with n. The output is order-preserving (record i belongs to objective
-  /// i) and byte-identical to per-objective Extract() for every thread
-  /// count — the stages are the code Extract() composes inline, and a
-  /// packed chunk predicts each member exactly as a one-member chunk does.
+  /// Extracts details for a whole collection: an order-preserving map of
+  /// Extract() (exec::ParallelMap), so record i belongs to objective i and
+  /// is byte-identical to Extract(objectives[i]) for every thread count.
+  /// Working memory is one objective per worker, independent of n.
   std::vector<data::DetailRecord> ExtractAll(
       const std::vector<data::Objective>& objectives) const;
 
@@ -86,8 +79,8 @@ class DetailExtractor {
 
   /// Extracts a batch presented by pointer — the serve scheduler's view of
   /// a closed batch — on `pool` (null = a private pool with
-  /// config.num_threads workers). The same packed pipeline as ExtractAll:
-  /// record i belongs to *objectives[i] and is byte-identical to
+  /// config.num_threads workers). The same map as ExtractAll: record i
+  /// belongs to *objectives[i] and is byte-identical to
   /// Extract(*objectives[i]).
   std::vector<data::DetailRecord> ExtractBatch(
       const std::vector<const data::Objective*>& objectives,
@@ -153,35 +146,15 @@ class DetailExtractor {
     std::vector<labels::LabelId> word_labels; ///< One label per token.
   };
 
-  /// Pipeline state of one (single-target) clause between stages. The
-  /// serial Extract() path and the packed ExtractAll() graph run the same
-  /// tokenize and decode stage methods over this struct, which is what
-  /// makes their outputs byte-identical.
-  struct StagedClause {
-    WordPrediction prediction;
-    std::vector<bpe::Subword> subwords;
-    std::vector<int32_t> ids;          ///< Subword ids with BOS/EOS.
-    std::vector<int32_t> predictions;  ///< Model output per position.
-  };
-
-  /// Stage 1: normalize, word-tokenize, and BPE-encode `text` into
-  /// `clause`. After it, `clause.prediction.tokens.empty()` means there is
-  /// nothing to predict (stages 2/3 must be skipped).
-  void TokenizeStage(const std::string& text, StagedClause& clause) const;
-
-  /// Stage 2: predict clause.ids as a one-member packed chunk.
-  void PredictStage(StagedClause& clause) const;
-
-  /// Stage 3 (first half): map subword predictions back to word labels.
-  void DecodeStage(StagedClause& clause) const;
-
   /// Splits an objective text into single-target clause texts; returns the
   /// whole text as one clause unless segmentation is on and finds > 1.
   std::vector<std::string> ClauseTexts(const std::string& text) const;
 
-  /// Runs the inference pipeline once (the three stages back to back).
-  /// Thread-safe after Train()/Load(): the model, tokenizer, catalog and
-  /// engine are immutable by then, and every engine call owns its scratch.
+  /// Runs the inference pipeline once: tokenize (normalize, word-split,
+  /// BPE-encode), predict the subword ids on the engine, and map subword
+  /// predictions back to word labels. Thread-safe after Train()/Load():
+  /// the model, tokenizer, catalog and engine are immutable by then, and
+  /// every engine call owns its scratch.
   WordPrediction PredictPrepared(const std::string& text) const;
 
   /// Builds the inference engine on the current weights. Called when
@@ -191,7 +164,7 @@ class DetailExtractor {
   void RebuildEngine();
 
   /// Shared implementation of both ExtractAll overloads and ExtractBatch:
-  /// the two-phase packed pipeline.
+  /// Extract() mapped over `objectives` on `pool`.
   std::vector<data::DetailRecord> ExtractBatchImpl(
       const std::vector<const data::Objective*>& objectives,
       runtime::ThreadPool& pool, runtime::Stats* stats) const;
@@ -199,8 +172,8 @@ class DetailExtractor {
   /// Extracts from one (already single-target) objective.
   data::DetailRecord ExtractSingle(const data::Objective& objective) const;
 
-  /// Stage 3 (second half): decode IOB spans from a finished prediction
-  /// and read the surface values out of the prepared text.
+  /// Decodes IOB spans from a finished prediction and reads the surface
+  /// values out of the prepared text.
   data::DetailRecord DecodeRecord(const data::Objective& objective,
                                   const WordPrediction& prediction) const;
 

@@ -403,4 +403,26 @@ void Executor::FinalizeStats(const Graph& graph, RunState& state) {
   }
 }
 
+RunStats ParallelMap(runtime::ThreadPool& pool, size_t n,
+                     const std::function<void(size_t)>& fn) {
+  if (n == 0) return RunStats{};
+  constexpr size_t kChunksPerWorker = 64;
+  const size_t chunks = std::min(
+      n, kChunksPerWorker * static_cast<size_t>(pool.thread_count()));
+  const size_t base = n / chunks;
+  const size_t extra = n % chunks;
+  Graph graph;
+  size_t begin = 0;
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t end = begin + base + (c < extra ? 1 : 0);
+    graph.Add([&fn, begin, end] {
+      for (size_t i = begin; i < end; ++i) fn(i);
+    });
+    begin = end;
+  }
+  Executor executor(&pool);
+  GOALEX_CHECK_OK(executor.Run(graph));  // Rethrows fn's exception.
+  return executor.last_run();
+}
+
 }  // namespace goalex::exec

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "common/status.h"
 #include "exec/graph.h"
@@ -31,8 +32,8 @@ struct RunStats {
 ///
 /// Scheduling: each worker owns a deque; a node released by worker w is
 /// pushed to w's deque and popped LIFO (chains run depth-first, so a
-/// tokenize -> predict -> decode pipeline keeps at most ~one open chain
-/// per worker and staged buffers die at their last-use node). Idle workers
+/// detect -> extract -> insert pipeline keeps at most ~one open chain per
+/// worker and staged buffers die at their last-use node). Idle workers
 /// steal FIFO from other shards — oldest nodes first, which is where
 /// unstarted chains live. When a completing node releases a wave of R
 /// ready nodes, exactly min(R, sleeping workers) are woken (no thundering
@@ -92,6 +93,18 @@ class Executor {
   obs::Gauge* critical_path_gauge_ = nullptr;
   obs::Gauge* scratch_peak_gauge_ = nullptr;
 };
+
+/// The one fan-out primitive: runs fn(i) for every i in [0, n) on `pool`
+/// and returns the run's stats. fn(i) writes the caller's slot i, so the
+/// output is order-preserving and identical for every worker count. The
+/// range is cut into min(n, 64 x workers) contiguous chunks, one graph
+/// node each: enough that idle workers steal around a stalled one, few
+/// enough that a chunk amortizes its scheduling. A serial pool (or n == 1)
+/// runs every chunk inline on the calling thread. The first exception any
+/// fn(i) throws is rethrown after the other chunks settle, and the pool
+/// stays usable. fn must be safe to call concurrently for distinct i.
+RunStats ParallelMap(runtime::ThreadPool& pool, size_t n,
+                     const std::function<void(size_t)>& fn);
 
 }  // namespace goalex::exec
 

@@ -24,8 +24,8 @@ struct NodeOptions {
 
 /// A task graph: nodes with explicit dependencies, built once and executed
 /// by exec::Executor. This is the one scheduling substrate shared by the
-/// batch mapper (runtime::BatchRunner), the data-parallel trainer, the
-/// GoalSpotter document pipeline, and the staged extraction pipeline.
+/// order-preserving map (exec::ParallelMap), the data-parallel trainer,
+/// the GoalSpotter document pipeline, and the streaming ingest pipeline.
 ///
 /// Determinism contract: the graph only constrains *when* a node may run,
 /// never *where results go*. Nodes write into caller-owned slots indexed by

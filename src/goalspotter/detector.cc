@@ -198,7 +198,7 @@ int32_t TransformerObjectiveDetector::PredictClass(
   GOALEX_CHECK_MSG(model_ != nullptr, "detector is not trained");
   // BOS/EOS make every encoding non-empty: exactly one class comes back.
   const std::vector<int32_t> ids = Encode(text);
-  return engine_->PredictBatch({&ids})[0][0];
+  return engine_->Predict(ids)[0];
 }
 
 bool TransformerObjectiveDetector::IsObjective(const std::string& text) const {

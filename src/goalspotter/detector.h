@@ -91,9 +91,8 @@ struct TransformerDetectorOptions {
 /// Transformer variant of the detection substrate: BPE-encodes a block and
 /// classifies it with nn::SequenceClassifier (mean-pooled encoder), the
 /// model family the paper uses for detection. Production scoring runs each
-/// block as a one-member chunk on infer::PackedEngine's sequence head — the
-/// same engine the extractor predicts with — bit-identical to the autograd
-/// evaluation path.
+/// block through infer::PackedEngine's sequence head — the same engine the
+/// extractor predicts with — bit-identical to the autograd evaluation path.
 class TransformerObjectiveDetector {
  public:
   explicit TransformerObjectiveDetector(

@@ -25,49 +25,6 @@ double NowSeconds() {
 
 }  // namespace
 
-std::vector<PackedChunk> PackByLength(
-    const std::vector<const std::vector<int32_t>*>& sequences,
-    int64_t max_seq_len, int64_t chunk_tokens) {
-  GOALEX_CHECK_GT(max_seq_len, 0);
-  GOALEX_CHECK_GT(chunk_tokens, 0);
-  // (length, caller index) for every non-empty sequence, stable-sorted by
-  // length: equal lengths keep submission order, so packing is a pure
-  // function of the input.
-  std::vector<std::pair<int64_t, size_t>> order;
-  order.reserve(sequences.size());
-  for (size_t i = 0; i < sequences.size(); ++i) {
-    GOALEX_CHECK(sequences[i] != nullptr);
-    const int64_t len = std::min<int64_t>(
-        static_cast<int64_t>(sequences[i]->size()), max_seq_len);
-    if (len > 0) order.emplace_back(len, i);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const std::pair<int64_t, size_t>& a,
-                      const std::pair<int64_t, size_t>& b) {
-                     return a.first < b.first;
-                   });
-  std::vector<PackedChunk> chunks;
-  PackedChunk current;
-  current.offsets.push_back(0);
-  auto flush = [&chunks, &current]() {
-    if (current.size() == 0) return;
-    chunks.push_back(std::move(current));
-    current = PackedChunk();
-    current.offsets.push_back(0);
-  };
-  for (const auto& [len, index] : order) {
-    // A sequence longer than the capacity still has to run somewhere; it
-    // gets an oversize chunk of its own (flushed by the next iteration).
-    if (current.tokens() + len > chunk_tokens && current.size() > 0) flush();
-    const std::vector<int32_t>& ids = *sequences[index];
-    current.ids.insert(current.ids.end(), ids.begin(), ids.begin() + len);
-    current.offsets.push_back(current.tokens());
-    current.sequence.push_back(index);
-  }
-  flush();
-  return chunks;
-}
-
 PackedEngine::PackedEngine(const nn::TokenClassifier& model,
                            PackedEngineOptions options)
     : PackedEngine(model.encoder(), model.head(), /*mean_pool=*/false,
@@ -85,7 +42,6 @@ PackedEngine::PackedEngine(const nn::TransformerEncoder& encoder,
       options_(options),
       mean_pool_(mean_pool),
       num_labels_(static_cast<int32_t>(head.out_features())) {
-  GOALEX_CHECK_GT(options_.chunk_tokens, 0);
   GOALEX_CHECK_GT(num_labels_, 0);
   auto pin = [this](const tensor::Var& var) -> const float* {
     pins_.push_back(var->value());
@@ -153,47 +109,34 @@ PackedEngine::PackedEngine(const nn::TransformerEncoder& encoder,
   if (obs::Active()) {
     auto& registry = obs::MetricsRegistry::Default();
     registry.GetCounter("infer.packed.engines")->Increment();
-    chunks_ = registry.GetCounter("infer.packed.chunks");
+    // One "chunk" per Forward call: every call runs one sequence.
+    calls_ = registry.GetCounter("infer.packed.chunks");
     packed_tokens_ = registry.GetCounter("infer.packed.tokens");
     tokens_per_sec_ = registry.GetGauge("infer.packed.tokens_per_sec");
-    // Fill = packed tokens / chunk capacity (can exceed 1 only for an
-    // oversize singleton); occupancy = sequences per chunk.
-    static const std::vector<double> kFillBounds = {0.1, 0.25, 0.5, 0.75,
-                                                    0.9, 0.95, 1.0};
-    batch_fill_ = registry.GetHistogram("infer.packed.batch_fill",
-                                        kFillBounds);
-    occupancy_ = registry.GetHistogram("infer.packed.bucket_occupancy",
-                                       obs::DefaultSizeBounds());
   }
 }
 
-PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
-    const PackedChunk& chunk) const {
-  ChunkLogits result;
+PackedEngine::Logits PackedEngine::Forward(
+    const std::vector<int32_t>& ids) const {
+  Logits result;
   result.cols = head_cols_;
-  const int64_t total = chunk.tokens();
-  const int64_t nseq = chunk.size();
+  // Truncate like the encoder does.
+  const int64_t total = std::min<int64_t>(static_cast<int64_t>(ids.size()),
+                                          config_.max_seq_len);
   if (total == 0) return result;
-  GOALEX_CHECK_EQ(static_cast<int64_t>(chunk.offsets.size()), nseq + 1);
   const double start = NowSeconds();
+  // One sequence: the attention kernel's offsets table has one entry pair.
+  const int64_t offsets[2] = {0, total};
 
   const int64_t d = config_.d_model;
   const int64_t ffn = config_.ffn_dim;
   const int64_t dh = d / config_.heads;
-  int64_t max_t = 0;
-  for (int64_t s = 0; s < nseq; ++s) {
-    const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-    GOALEX_CHECK_GT(t, 0);
-    GOALEX_CHECK_LE(t, static_cast<int64_t>(config_.max_seq_len));
-    max_t = std::max(max_t, t);
-  }
 
-  // One storage block for all packed activations + attention scratch,
-  // drawn through the thread's scratch allocator: inside an exec node
-  // marked uses_scratch this is a pooled lease counted against
-  // exec.scratch.peak_bytes, elsewhere a plain zeroed allocation. A
-  // sequence head has one logits row per member, fed by one pooled row.
-  const int64_t logit_rows = mean_pool_ ? nseq : total;
+  // One storage block for all activations + attention scratch, drawn
+  // through the thread's scratch allocator (a plain zeroed allocation
+  // unless a tensor::ScratchScope is installed). A sequence head has one
+  // logits row, fed by one pooled row.
+  const int64_t logit_rows = mean_pool_ ? 1 : total;
   size_t off = 0;
   auto take = [&off](int64_t n) {
     size_t r = off;
@@ -208,10 +151,10 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   const size_t o_attn = take(total * d);
   const size_t o_x1 = take(total * d);
   const size_t o_f1 = take(total * ffn);
-  const size_t o_pooled = take(mean_pool_ ? nseq * d : 0);
+  const size_t o_pooled = take(mean_pool_ ? d : 0);
   const size_t o_logits = take(logit_rows * head_cols_);
-  const size_t o_kat = take(dh * max_t);
-  const size_t o_scores = take(tensor::kPackedAttentionRowBlock * max_t);
+  const size_t o_kat = take(dh * total);
+  const size_t o_scores = take(tensor::kPackedAttentionRowBlock * total);
   result.storage = tensor::AllocateTensorStorage(off);
   float* base = result.storage->data();
   float* x = base + o_x;
@@ -227,17 +170,11 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
   float* kat = base + o_kat;
   float* scores = base + o_scores;
 
-  // Embeddings: the position ramp restarts at each sequence boundary.
-  for (int64_t s = 0; s < nseq; ++s) {
-    const int64_t seq_base = chunk.offsets[s];
-    const int64_t t = chunk.offsets[s + 1] - seq_base;
-    tensor::EmbedSumForward(token_embedding_, config_.vocab_size,
-                            position_embedding_, chunk.ids.data() + seq_base,
-                            t, d, x + seq_base * d);
-  }
+  tensor::EmbedSumForward(token_embedding_, config_.vocab_size,
+                          position_embedding_, ids.data(), total, d, x);
 
-  // Pre-LN encoder layers over the packed token axis. Only attention sees
-  // the offsets table; everything else is one dense GEMM per op with the
+  // Pre-LN encoder layers over the token axis. Only attention sees the
+  // offsets table; everything else is one dense GEMM per op with the
   // residual adds and GELU fused into the producing linear's stores.
   for (size_t li = 0; li < layers_.size(); ++li) {
     const LayerWeights& lw = layers_[li];
@@ -246,8 +183,8 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
     if (options_.quantize_int8) {
       const QuantizedLayer& ql = quantized_[li];
       tensor::QuantizedQkvForward(h, ql.q, ql.k, ql.v, q, k, v, total);
-      tensor::AttentionPackedForward(q, k, v, attn, chunk.offsets.data(),
-                                     nseq, d, config_.heads, kat, scores);
+      tensor::AttentionPackedForward(q, k, v, attn, offsets, /*nseq=*/1, d,
+                                     config_.heads, kat, scores);
       tensor::QuantizedLinearForward(attn, ql.o, x1, total,
                                      tensor::LinearEpilogue::kResidual, x);
       tensor::LayerNormPackedForward(x1, lw.ln2_gamma, lw.ln2_beta, h, total,
@@ -260,8 +197,8 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
       tensor::LinearForward(h, lw.qw, lw.qb, q, total, d, d);
       tensor::LinearForward(h, lw.kw, lw.kb, k, total, d, d);
       tensor::LinearForward(h, lw.vw, lw.vb, v, total, d, d);
-      tensor::AttentionPackedForward(q, k, v, attn, chunk.offsets.data(),
-                                     nseq, d, config_.heads, kat, scores);
+      tensor::AttentionPackedForward(q, k, v, attn, offsets, /*nseq=*/1, d,
+                                     config_.heads, kat, scores);
       tensor::LinearResidualForward(attn, lw.ow, lw.ob, /*residual=*/x, x1,
                                     total, d, d);
       tensor::LayerNormPackedForward(x1, lw.ln2_gamma, lw.ln2_beta, h, total,
@@ -275,57 +212,35 @@ PackedEngine::ChunkLogits PackedEngine::ForwardChunk(
                                  kLayerNormEps);
   const float* head_in = h;
   if (mean_pool_) {
-    // The tape's MeanRows, one member at a time.
-    for (int64_t s = 0; s < nseq; ++s) {
-      tensor::MeanRowsForward(h + chunk.offsets[s] * d, pooled + s * d,
-                              chunk.offsets[s + 1] - chunk.offsets[s], d);
-    }
+    tensor::MeanRowsForward(h, pooled, total, d);  // The tape's MeanRows.
     head_in = pooled;
   }
   tensor::LinearForward(head_in, head_weight_.data(), head_bias_.data(),
                         logits, logit_rows, d, head_cols_);
   result.data = logits;
+  result.rows = logit_rows;
 
-  if (chunks_ != nullptr) {
-    chunks_->Increment();
+  if (calls_ != nullptr) {
+    calls_->Increment();
     packed_tokens_->Increment(static_cast<uint64_t>(total));
     const double elapsed = NowSeconds() - start;
     if (elapsed > 0.0) {
       tokens_per_sec_->Set(static_cast<double>(total) / elapsed);
     }
-    batch_fill_->Observe(static_cast<double>(total) /
-                         static_cast<double>(options_.chunk_tokens));
-    occupancy_->Observe(static_cast<double>(nseq));
   }
   return result;
 }
 
-void PackedEngine::PredictChunk(const PackedChunk& chunk,
-                                std::vector<std::vector<int32_t>>& out) const {
-  const ChunkLogits logits = ForwardChunk(chunk);
-  for (int64_t s = 0; s < chunk.size(); ++s) {
-    // A member's logits rows: its token rows, or its one pooled row.
-    const int64_t first = mean_pool_ ? s : chunk.offsets[s];
-    const int64_t rows =
-        mean_pool_ ? 1 : chunk.offsets[s + 1] - chunk.offsets[s];
-    std::vector<int32_t>& labels = out[chunk.sequence[s]];
-    labels.resize(rows);
-    for (int64_t i = 0; i < rows; ++i) {
-      // Scan only the real columns; the padded tail is zeros.
-      labels[i] = tensor::ArgmaxRow(logits.data + (first + i) * logits.cols,
-                                    num_labels_);
-    }
+std::vector<int32_t> PackedEngine::Predict(
+    const std::vector<int32_t>& ids) const {
+  const Logits logits = Forward(ids);
+  std::vector<int32_t> labels(static_cast<size_t>(logits.rows));
+  for (int64_t r = 0; r < logits.rows; ++r) {
+    // Scan only the real columns; the padded tail is zeros.
+    labels[static_cast<size_t>(r)] =
+        tensor::ArgmaxRow(logits.data + r * logits.cols, num_labels_);
   }
-}
-
-std::vector<std::vector<int32_t>> PackedEngine::PredictBatch(
-    const std::vector<const std::vector<int32_t>*>& sequences) const {
-  std::vector<std::vector<int32_t>> out(sequences.size());
-  for (const PackedChunk& chunk : PackByLength(
-           sequences, config_.max_seq_len, options_.chunk_tokens)) {
-    PredictChunk(chunk, out);
-  }
-  return out;
+  return labels;
 }
 
 }  // namespace goalex::infer

@@ -104,7 +104,7 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Exponential 1-2.5-5 ladder from 10 microseconds to 25 seconds — the
+/// Exponential 1-2.5-5 ladder from 1 microsecond to 25 seconds — the
 /// default for the pipeline's per-stage latency histograms.
 const std::vector<double>& DefaultLatencyBounds();
 

@@ -54,40 +54,20 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::AccountTask(std::chrono::steady_clock::time_point start) {
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  task_seconds_hist_->Observe(seconds);
-  tasks_counter_->Increment();
-  double expected = busy_seconds_.load(std::memory_order_relaxed);
-  while (!busy_seconds_.compare_exchange_weak(
-      expected, expected + seconds, std::memory_order_relaxed)) {
-  }
-}
-
-void ThreadPool::RunTimed(const std::function<void()>& task) {
-  if (task_seconds_hist_ == nullptr) {
-    task();
-    return;
-  }
+void ThreadPool::RunTask(const std::function<void()>& task) {
   const std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
   try {
     task();
   } catch (...) {
-    AccountTask(start);
-    throw;
-  }
-  AccountTask(start);
-}
-
-void ThreadPool::RunTask(const std::function<void()>& task) {
-  try {
-    RunTimed(task);
-  } catch (...) {
     std::unique_lock<std::mutex> lock(mu_);
     if (!first_error_) first_error_ = std::current_exception();
+  }
+  if (task_seconds_hist_ != nullptr) {
+    task_seconds_hist_->Observe(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+    tasks_counter_->Increment();
   }
 }
 
@@ -159,38 +139,6 @@ void ThreadPool::Wait() {
     error = std::exchange(first_error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t, size_t)>& chunk) {
-  if (n == 0) return;
-  size_t chunks = std::min(n, static_cast<size_t>(thread_count_));
-  if (chunks <= 1) {
-    // Run the single chunk inline with busy-seconds accounting (so
-    // BatchRunner's utilization gauge covers single-chunk runs on
-    // multi-thread pools) but without touching Wait()/first_error_: the
-    // caller must not stall behind unrelated in-flight Submit() work or
-    // receive an earlier unrelated task's exception — only the chunk's
-    // own exception propagates.
-    RunTimed([&chunk, n] { chunk(0, n); });
-    return;
-  }
-  // Static chunking: contiguous ranges of size n/chunks, the first
-  // n % chunks ranges one element larger. The chunks are enqueued as one
-  // wave (single lock, batched wakeups).
-  size_t base = n / chunks;
-  size_t extra = n % chunks;
-  size_t begin = 0;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t size = base + (c < extra ? 1 : 0);
-    size_t end = begin + size;
-    tasks.push_back([&chunk, begin, end] { chunk(begin, end); });
-    begin = end;
-  }
-  SubmitBatch(std::move(tasks));
-  Wait();
 }
 
 }  // namespace goalex::runtime

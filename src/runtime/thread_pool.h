@@ -1,10 +1,7 @@
 #ifndef GOALEX_RUNTIME_THREAD_POOL_H_
 #define GOALEX_RUNTIME_THREAD_POOL_H_
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -16,8 +13,9 @@
 
 namespace goalex::runtime {
 
-/// A fixed-size worker pool for the embarrassingly parallel fan-out stages
-/// of the system (corpus-scale extraction, weak labeling, evaluation).
+/// A fixed-size worker pool: the threads exec::Executor schedules task
+/// graphs on, and so the workers of exec::ParallelMap (corpus-scale
+/// extraction, weak labeling, evaluation) and of the trainer.
 ///
 /// Dependency-free by design: plain std::thread workers pulling from a
 /// mutex-guarded queue. A pool resolved to one thread runs every task
@@ -25,8 +23,8 @@ namespace goalex::runtime {
 /// behavior exactly (no worker threads are ever spawned).
 ///
 /// Error-delivery contract: exceptions thrown by tasks are captured; the
-/// first one is rethrown on the calling thread by the next Wait() /
-/// ParallelFor() and cleared there, never allowed to deadlock the pool.
+/// first one is rethrown on the calling thread by the next Wait() and
+/// cleared there, never allowed to deadlock the pool.
 /// Two corollaries, pinned by runtime_stress_test.cc:
 ///  - A captured error with no later Wait() (fire-and-forget Submit, or
 ///    tasks drained during ~ThreadPool) is logged to stderr by the
@@ -67,37 +65,11 @@ class ThreadPool {
   /// first captured task exception (if any) and clears it.
   void Wait();
 
-  /// Runs `chunk(begin, end)` over a static partition of [0, n) into at
-  /// most thread_count() contiguous ranges and blocks until all complete.
-  /// Rethrows the first exception thrown by any chunk. Not reentrant: do
-  /// not call ParallelFor from inside a task running on this pool.
-  ///
-  /// When the partition resolves to a single chunk it runs inline on the
-  /// calling thread without synchronizing with the pool: it neither waits
-  /// for unrelated in-flight Submit() tasks nor consumes their captured
-  /// errors — only the chunk's own exception propagates, directly.
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t, size_t)>& chunk);
-
-  /// Cumulative seconds this pool's workers spent inside tasks — including
-  /// the inline single-chunk path of ParallelFor, so small batches on a
-  /// multi-thread pool are accounted too. Maintained only while
-  /// observability is active at construction (otherwise 0); BatchRunner
-  /// divides a delta of this by wall * threads to report worker
-  /// utilization.
-  double busy_seconds() const {
-    return busy_seconds_.load(std::memory_order_relaxed);
-  }
-
  private:
   void WorkerLoop();
-  /// Runs `task` with timing/busy-seconds accounting; exceptions (still
-  /// accounted) propagate to the caller.
-  void RunTimed(const std::function<void()>& task);
-  /// RunTimed, but captures the first exception into first_error_ for
-  /// delivery by the next Wait() instead of propagating.
+  /// Runs `task` with timing accounting and captures its first exception
+  /// into first_error_ for delivery by the next Wait().
   void RunTask(const std::function<void()>& task);
-  void AccountTask(std::chrono::steady_clock::time_point start);
 
   int thread_count_ = 1;
   std::vector<std::thread> workers_;
@@ -116,7 +88,6 @@ class ThreadPool {
   obs::Gauge* queue_depth_gauge_ = nullptr;
   obs::Counter* tasks_counter_ = nullptr;
   obs::Histogram* task_seconds_hist_ = nullptr;
-  std::atomic<double> busy_seconds_{0.0};
 };
 
 }  // namespace goalex::runtime

@@ -79,8 +79,9 @@ struct ServeStats {
 /// batch closes when it reaches max_batch_size OR when the oldest waiting
 /// request hits the batch deadline, whichever fires first. Dequeue is
 /// priority-aware (interactive strictly before bulk). Each batch is
-/// handed to the BatchHandler (typically DetailExtractor inference fanned
-/// out on a runtime::BatchRunner); per-request promises deliver results.
+/// handed to the BatchHandler (typically DetailExtractor::ExtractBatch,
+/// fanned out with exec::ParallelMap); per-request promises deliver
+/// results.
 ///
 /// Shutdown is clean: Stop() rejects new submissions, then drains every
 /// admitted request through the handler before joining, so no admitted

@@ -15,9 +15,9 @@ namespace goalex::serve {
 /// trained DetailExtractor. Each formed batch runs through
 /// DetailExtractor::ExtractBatch on a persistent worker pool
 /// (config.num_threads workers; 1 = inference inline on the scheduler
-/// thread) — the same packed pipeline as ExtractAll, so a served request
-/// returns byte-identical records to the batch path, and the batch's
-/// clauses share padding-free packed chunks.
+/// thread) — the same order-preserving map of Extract() as ExtractAll, so
+/// a served request returns byte-identical records to the batch path, and
+/// a batch spreads its objectives over every pool thread.
 ///
 /// The extractor must outlive the service and stay immutable while it is
 /// serving (the same contract concurrent ExtractAll callers already

@@ -4,8 +4,9 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "exec/executor.h"
 #include "obs/scope.h"
-#include "runtime/batch_runner.h"
+#include "runtime/thread_pool.h"
 
 namespace goalex::weaksup {
 namespace {
@@ -158,11 +159,12 @@ WeakLabeling WeakLabeler::Label(const data::Objective& objective) const {
 
 std::vector<WeakLabeling> WeakLabeler::LabelAll(
     const std::vector<data::Objective>& objectives, int num_threads) const {
-  runtime::BatchRunner runner(num_threads);
-  return runner.Map<WeakLabeling>(
-      objectives.size(), [this, &objectives](size_t i) {
-        return Label(objectives[i]);
-      });
+  std::vector<WeakLabeling> out(objectives.size());
+  runtime::ThreadPool pool(num_threads);
+  exec::ParallelMap(pool, objectives.size(), [&](size_t i) {
+    out[i] = Label(objectives[i]);
+  });
+  return out;
 }
 
 WeakLabelStats ComputeStats(const std::vector<data::Objective>& objectives,

@@ -64,8 +64,8 @@ class WeakLabeler {
   WeakLabeling Label(const data::Objective& objective) const;
 
   /// Labels a whole training set; the i-th result corresponds to the i-th
-  /// objective. `num_threads` fans the per-objective work out on a
-  /// runtime::BatchRunner (<= 0 = hardware concurrency, 1 = serial); the
+  /// objective. `num_threads` fans the per-objective work out with
+  /// exec::ParallelMap (<= 0 = hardware concurrency, 1 = serial); the
   /// output is order-preserving and identical for every thread count.
   std::vector<WeakLabeling> LabelAll(
       const std::vector<data::Objective>& objectives,

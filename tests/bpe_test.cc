@@ -176,6 +176,24 @@ TEST(BpeSerializeTest, RejectsDuplicatedVocabularyLine) {
   EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(BpeSerializeTest, RejectsMergePairListedTwice) {
+  // Train recounts pairs after every merge and a merged pair's count drops
+  // to zero, so no trained model lists a pair twice: such a file is
+  // corrupt. Here the second merge rule repeats the first.
+  BpeModel model = BpeModel::Train(CorpusSmall(), 10);
+  ASSERT_GE(model.merges().size(), 2u);
+  const MergeRule& first = model.merges()[0];
+  auto restored = BpeModel::Deserialize(
+      WithLine(model.Serialize(), 4, first.left + "\x1F" + first.right));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  // A hand-built model listing the pair (b, c) at ranks 0 and 2.
+  auto hand_built = BpeModel::Deserialize(
+      "bpe_v1\n0\n3\nb\x1F" "c\na\x1F" "b\nb\x1F" "c\n9\na\nb\nc\nbc\nab\n");
+  ASSERT_FALSE(hand_built.ok());
+  EXPECT_EQ(hand_built.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(BpeSerializeTest, RejectsMergeRuleOutsideVocabulary) {
   BpeModel model = BpeModel::Train(CorpusSmall(), 10);
   ASSERT_FALSE(model.merges().empty());

@@ -520,29 +520,34 @@ TEST(DatabaseTest, BackgroundSealerSealsPastThreshold) {
   options.seal_threshold = 16;
   options.background_seal = true;
 
-  ObjectiveDatabase db(2, options);
-  ASSERT_TRUE(db.Open(dir).ok());
-  for (int i = 0; i < 200; ++i) {
-    db.Insert(MakeRecord("row " + std::to_string(i),
-                         {{"Deadline", std::to_string(2025 + i % 10)}}),
-              "Company" + std::to_string(i % 4));
-  }
-  // The sealer runs asynchronously; poll until it has sealed something.
-  for (int spin = 0; spin < 500 && db.SealedSegmentCount() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GT(db.SealedSegmentCount(), 0u);
+  // Both databases (and their background sealers) end before the
+  // directory is removed: a sealer still renaming a .tmp segment makes
+  // remove_all fail.
+  {
+    ObjectiveDatabase db(2, options);
+    ASSERT_TRUE(db.Open(dir).ok());
+    for (int i = 0; i < 200; ++i) {
+      db.Insert(MakeRecord("row " + std::to_string(i),
+                           {{"Deadline", std::to_string(2025 + i % 10)}}),
+                "Company" + std::to_string(i % 4));
+    }
+    // The sealer runs asynchronously; poll until it has sealed something.
+    for (int spin = 0; spin < 500 && db.SealedSegmentCount() == 0; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(db.SealedSegmentCount(), 0u);
 
-  // Sealing moved rows out of the growing segments without losing any.
-  EXPECT_EQ(db.size(), 200u);
-  EXPECT_EQ(db.SnapshotRows().size(), 200u);
-  EXPECT_EQ(db.ByDeadlineYear(2025).size(), 20u);
+    // Sealing moved rows out of the growing segments without losing any.
+    EXPECT_EQ(db.size(), 200u);
+    EXPECT_EQ(db.SnapshotRows().size(), 200u);
+    EXPECT_EQ(db.ByDeadlineYear(2025).size(), 20u);
 
-  // Everything — sealed and still-growing — survives a reopen.
-  ObjectiveDatabase reopened(2, options);
-  ASSERT_TRUE(reopened.Open(dir).ok());
-  EXPECT_EQ(reopened.size(), 200u);
-  EXPECT_EQ(reopened.ExportCsv({"Deadline"}), db.ExportCsv({"Deadline"}));
+    // Everything — sealed and still-growing — survives a reopen.
+    ObjectiveDatabase reopened(2, options);
+    ASSERT_TRUE(reopened.Open(dir).ok());
+    EXPECT_EQ(reopened.size(), 200u);
+    EXPECT_EQ(reopened.ExportCsv({"Deadline"}), db.ExportCsv({"Deadline"}));
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -599,14 +604,18 @@ TEST(DatabaseTest, AttachedConcurrentInsertQuerySealStress) {
   }
 
   // Every row survives the concurrent seals and a reopen, exactly once.
-  ObjectiveDatabase reopened(4, options);
-  ASSERT_TRUE(reopened.Open(dir).ok());
-  ASSERT_EQ(reopened.size(), static_cast<size_t>(kWriters * kRowsPerWriter));
-  std::set<int64_t> ids;
-  for (const DbRow& row : reopened.SnapshotRows()) ids.insert(row.row_id);
-  EXPECT_EQ(ids.size(), static_cast<size_t>(kWriters * kRowsPerWriter));
-  EXPECT_EQ(*ids.rbegin(),
-            static_cast<int64_t>(kWriters * kRowsPerWriter) - 1);
+  // The reopened database's sealer ends before the directory is removed.
+  {
+    ObjectiveDatabase reopened(4, options);
+    ASSERT_TRUE(reopened.Open(dir).ok());
+    ASSERT_EQ(reopened.size(),
+              static_cast<size_t>(kWriters * kRowsPerWriter));
+    std::set<int64_t> ids;
+    for (const DbRow& row : reopened.SnapshotRows()) ids.insert(row.row_id);
+    EXPECT_EQ(ids.size(), static_cast<size_t>(kWriters * kRowsPerWriter));
+    EXPECT_EQ(*ids.rbegin(),
+              static_cast<int64_t>(kWriters * kRowsPerWriter) - 1);
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,8 @@
 // Tests of the task-graph executor: dependency ordering (diamond/fan-in),
 // cycle rejection, error propagation with cancellation of dependents, the
-// 1k-node stress graph under scheduling jitter, batched worker wakeups, and
-// the buffer-lifetime pass (scratch lease planning + pooled allocators).
+// 1k-node stress graph under scheduling jitter, batched worker wakeups, the
+// buffer-lifetime pass (scratch lease planning + pooled allocators), and
+// the fan-out contracts of the order-preserving map (ParallelMap).
 #include "exec/executor.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -429,6 +432,206 @@ TEST(ScratchPoolTest, ExecutorLeasesRecycleZeroFilledStorage) {
   EXPECT_GT(scratch.reuse_count(), 0u);
   EXPECT_LE(scratch.resident_allocators(), 2);
   EXPECT_GT(scratch.peak_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ParallelMap: the one fan-out primitive.
+
+/// Maps fn over [0, n) into a vector, the way every caller uses the map.
+template <typename T, typename Fn>
+std::vector<T> MapToVector(runtime::ThreadPool& pool, size_t n, Fn fn) {
+  std::vector<T> out(n);
+  ParallelMap(pool, n, [&out, &fn](size_t i) { out[i] = fn(i); });
+  return out;
+}
+
+TEST(ParallelMapTest, EmptyInputCallsNothing) {
+  for (int threads : {1, 4}) {
+    runtime::ThreadPool pool(threads);
+    std::atomic<int> calls{0};
+    const RunStats stats =
+        ParallelMap(pool, 0, [&calls](size_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 0);
+    EXPECT_EQ(stats.executed, 0u);
+  }
+}
+
+TEST(ParallelMapTest, MoreWorkersThanItems) {
+  // 16 workers, 3 items: no empty or overlapping chunks.
+  runtime::ThreadPool pool(16);
+  std::vector<std::atomic<int>> hits(3);
+  const RunStats stats =
+      ParallelMap(pool, 3, [&hits](size_t i) { hits[i].fetch_add(1); });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(stats.executed, 3u);
+}
+
+TEST(ParallelMapTest, SingleItem) {
+  for (int threads : {1, 2, 16}) {
+    runtime::ThreadPool pool(threads);
+    std::vector<std::string> out = MapToVector<std::string>(
+        pool, 1, [](size_t i) { return "item-" + std::to_string(i); });
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], "item-0");
+  }
+}
+
+TEST(ParallelMapTest, SerialPoolAndSingleItemRunInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  runtime::ThreadPool serial(1);
+  std::atomic<int> elsewhere{0};
+  ParallelMap(serial, 300, [&](size_t) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  runtime::ThreadPool parallel(4);
+  ParallelMap(parallel, 1, [&](size_t) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ParallelMapTest, ChunkCountIsSixtyFourPerWorkerAtMost) {
+  runtime::ThreadPool pool(4);
+  EXPECT_EQ(ParallelMap(pool, 100, [](size_t) {}).executed, 100u);
+  EXPECT_EQ(ParallelMap(pool, 10000, [](size_t) {}).executed, 256u);
+  runtime::ThreadPool serial(1);
+  EXPECT_EQ(ParallelMap(serial, 10000, [](size_t) {}).executed, 64u);
+}
+
+TEST(ParallelMapTest, CoversEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 4, 7}) {
+    runtime::ThreadPool pool(threads);
+    constexpr size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    ParallelMap(pool, kN, [&hits](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " with " << threads
+                                   << " threads";
+    }
+  }
+}
+
+TEST(ParallelMapTest, ItemExceptionPropagatesAndPoolStaysUsable) {
+  for (int threads : {1, 4}) {
+    runtime::ThreadPool pool(threads);
+    EXPECT_THROW(ParallelMap(pool, 100,
+                             [](size_t i) {
+                               if (i == 57) {
+                                 throw std::runtime_error("item 57 broke");
+                               }
+                             }),
+                 std::runtime_error)
+        << threads << " threads";
+    // The pool survives: the next map is complete and correct, and the
+    // stored exception does not leak into it or into a later Wait().
+    std::vector<int> out = MapToVector<int>(
+        pool, 100, [](size_t i) { return static_cast<int>(i); });
+    for (size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], static_cast<int>(i));
+    }
+    pool.Wait();
+  }
+}
+
+TEST(ParallelMapTest, OrderHoldsUnder16ThreadsWithJitter) {
+  // Jittered item costs make chunks finish far out of order; every slot
+  // must still hold its own item's value. 16 workers writing disjoint
+  // slots of one vector is the scenario the TSAN job watches.
+  runtime::ThreadPool pool(16);
+  constexpr size_t kItems = 2000;
+  std::vector<uint64_t> out = MapToVector<uint64_t>(pool, kItems, [](size_t i) {
+    // Deterministic per-item jitter: spin between 0 and ~40us.
+    std::mt19937_64 rng(i);
+    const uint64_t spin = rng() % 400;
+    uint64_t acc = i;
+    for (uint64_t k = 0; k < spin; ++k) acc = acc * 6364136223846793005ULL + k;
+    if (spin % 7 == 0) std::this_thread::yield();
+    return static_cast<uint64_t>(i) * 2 + 1;
+  });
+  for (size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(out[i], static_cast<uint64_t>(i) * 2 + 1) << "index " << i;
+  }
+}
+
+TEST(ParallelMapTest, RepeatedMapsOnOnePoolStayExact) {
+  runtime::ThreadPool pool(8);
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<uint64_t> sum{0};
+    const size_t n = static_cast<size_t>(round) * 7 % 97;  // Varying sizes.
+    ParallelMap(pool, n, [&sum](size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), n == 0 ? 0 : n * (n - 1) / 2) << "round " << round;
+  }
+}
+
+TEST(ParallelMapTest, ConcurrentMapsOnSeparatePoolsDoNotInterfere) {
+  // Four pools on four caller threads, each mapping its own range: the
+  // shared metrics registry is the only common state.
+  constexpr int kCallers = 4;
+  std::vector<std::thread> callers;
+  std::vector<uint64_t> checksums(kCallers, 0);
+  for (int r = 0; r < kCallers; ++r) {
+    callers.emplace_back([r, &checksums] {
+      runtime::ThreadPool pool(4);
+      std::vector<uint64_t> out = MapToVector<uint64_t>(
+          pool, 500,
+          [r](size_t i) { return static_cast<uint64_t>(r) * 1000 + i; });
+      uint64_t sum = 0;
+      for (uint64_t v : out) sum += v;
+      checksums[static_cast<size_t>(r)] = sum;
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int r = 0; r < kCallers; ++r) {
+    // Sum over i of (r * 1000 + i), i in [0, 500).
+    const uint64_t expected =
+        static_cast<uint64_t>(r) * 1000 * 500 + 500 * 499 / 2;
+    EXPECT_EQ(checksums[static_cast<size_t>(r)], expected) << "caller " << r;
+  }
+}
+
+TEST(ParallelMapTest, SerialAndParallelResultsIdentical) {
+  auto work = [](size_t i) {
+    // Uneven per-item cost so chunks finish out of order.
+    size_t acc = i;
+    for (size_t k = 0; k < (i % 17) * 100; ++k) acc = acc * 31 + k;
+    return acc;
+  };
+  runtime::ThreadPool serial(1);
+  runtime::ThreadPool parallel(4);
+  EXPECT_EQ(MapToVector<size_t>(serial, 500, work),
+            MapToVector<size_t>(parallel, 500, work));
+}
+
+TEST(ParallelMapTest, StatsReportTheRun) {
+  runtime::ThreadPool pool(2);
+  const RunStats stats = ParallelMap(
+      pool, 8, [](size_t) { SpinFor(std::chrono::microseconds(500)); });
+  EXPECT_EQ(stats.executed, 8u);
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_GE(stats.busy_seconds, 8 * 0.0005 * 0.9);
+  // A one-item map on a multi-thread pool runs inline, and its busy time
+  // is still accounted (utilization of small batches must not read 0).
+  runtime::ThreadPool wide(4);
+  const RunStats one = ParallelMap(
+      wide, 1, [](size_t) { SpinFor(std::chrono::microseconds(2000)); });
+  EXPECT_GE(one.busy_seconds, 0.002 * 0.9);
+  EXPECT_LE(one.busy_seconds, one.wall_seconds * 1.05);
+}
+
+TEST(ParallelMapTest, DisabledMetricsRecordNothing) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "metrics compiled out";
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::SetEnabled(false);
+  registry.Reset();
+  {
+    runtime::ThreadPool pool(4);
+    ParallelMap(pool, 32, [](size_t) {});
+  }
+  obs::SetEnabled(true);
+  EXPECT_EQ(registry.GetCounter("runtime.pool.tasks")->Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("exec.nodes")->Value(), 0u);
 }
 
 }  // namespace

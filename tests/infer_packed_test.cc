@@ -1,17 +1,16 @@
-// Tests of packed-batch inference (src/infer/packed.h, DESIGN.md §14).
-// Three layers of guarantees are pinned here:
-//  - PackByLength is a deterministic, lossless partition: every non-empty
-//    sequence lands in exactly one chunk, capacity and truncation bounds
-//    hold, and equal inputs always produce equal chunks.
-//  - The packed float path is *bit-identical* per sequence to the autograd
-//    evaluation path — full logits, not just argmax — across sequence
-//    lengths, including the degenerate shapes (batch of one, single-token
-//    sequences, all-equal lengths, max_seq_len, truncation).
+// Tests of the inference engine (src/infer/packed.h, DESIGN.md §14), which
+// predicts one sequence per call on padding-free kernels. Two layers of
+// engine guarantees are pinned here:
+//  - The float path is *bit-identical* to the autograd evaluation path —
+//    full logits, not just argmax — across sequence lengths, including the
+//    degenerate shapes (empty and single-token sequences, max_seq_len,
+//    truncation).
 //  - The int8 path is tolerance-pinned: logits stay close to float and the
 //    argmax labels agree on almost every token (the end-to-end F1 budget
 //    is gated separately by bench_micro_infer --smoke).
-// Plus extractor-level parity: ExtractAll must produce byte-identical
-// records to serial per-objective Extract() calls, in float and in int8.
+// Plus extractor-level parity: ExtractAll and ExtractBatch must produce
+// byte-identical records to serial per-objective Extract() calls, in float
+// and in int8, with objective segmentation off and on.
 #include "infer/packed.h"
 
 #include <gtest/gtest.h>
@@ -27,12 +26,12 @@
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "nn/transformer.h"
+#include "runtime/thread_pool.h"
+#include "segment/segmenter.h"
 
 namespace goalex {
 namespace {
 
-using infer::PackByLength;
-using infer::PackedChunk;
 using infer::PackedEngine;
 using infer::PackedEngineOptions;
 
@@ -50,14 +49,6 @@ std::vector<std::vector<int32_t>> RandomBatch(
   return batch;
 }
 
-std::vector<const std::vector<int32_t>*> Ptrs(
-    const std::vector<std::vector<int32_t>>& batch) {
-  std::vector<const std::vector<int32_t>*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const std::vector<int32_t>& seq : batch) ptrs.push_back(&seq);
-  return ptrs;
-}
-
 /// Small architecture exercising multi-head attention and stacked layers.
 nn::TransformerConfig SmallArch() {
   nn::TransformerConfig config;
@@ -71,167 +62,40 @@ nn::TransformerConfig SmallArch() {
 }
 
 // ---------------------------------------------------------------------------
-// PackByLength
-
-TEST(PackByLengthTest, EmptyBatchYieldsNoChunks) {
-  std::vector<const std::vector<int32_t>*> none;
-  EXPECT_TRUE(PackByLength(none, 16, 64).empty());
-}
-
-TEST(PackByLengthTest, EmptySequencesAreSkipped) {
-  std::vector<std::vector<int32_t>> batch = {{}, {1, 2, 3}, {}, {4}};
-  std::vector<PackedChunk> chunks = PackByLength(Ptrs(batch), 16, 64);
-  ASSERT_EQ(chunks.size(), 1u);
-  // Only the two non-empty sequences are packed; the empty ones simply get
-  // no labels.
-  EXPECT_EQ(chunks[0].size(), 2);
-  EXPECT_EQ(chunks[0].tokens(), 4);
-  std::vector<size_t> members = chunks[0].sequence;
-  std::sort(members.begin(), members.end());
-  EXPECT_EQ(members, (std::vector<size_t>{1, 3}));
-
-  std::vector<std::vector<int32_t>> all_empty = {{}, {}};
-  EXPECT_TRUE(PackByLength(Ptrs(all_empty), 16, 64).empty());
-}
-
-TEST(PackByLengthTest, BatchOfOne) {
-  std::vector<std::vector<int32_t>> batch = {{7, 8, 9}};
-  std::vector<PackedChunk> chunks = PackByLength(Ptrs(batch), 16, 64);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].size(), 1);
-  EXPECT_EQ(chunks[0].sequence[0], 0u);
-  EXPECT_EQ(chunks[0].ids, batch[0]);
-  EXPECT_EQ(chunks[0].offsets, (std::vector<int64_t>{0, 3}));
-}
-
-TEST(PackByLengthTest, EverySequenceOnceAndCapacityHolds) {
-  Rng rng(11);
-  std::vector<size_t> lengths;
-  for (int i = 0; i < 200; ++i) {
-    lengths.push_back(static_cast<size_t>(rng.NextInt(1, 40)));
-  }
-  std::vector<std::vector<int32_t>> batch = RandomBatch(lengths, 100, rng);
-  const int64_t max_seq_len = 32;
-  const int64_t chunk_tokens = 96;
-  std::vector<PackedChunk> chunks =
-      PackByLength(Ptrs(batch), max_seq_len, chunk_tokens);
-
-  std::vector<int> seen(batch.size(), 0);
-  for (const PackedChunk& chunk : chunks) {
-    ASSERT_EQ(chunk.offsets.size(), static_cast<size_t>(chunk.size()) + 1);
-    EXPECT_EQ(chunk.offsets.front(), 0);
-    EXPECT_EQ(chunk.offsets.back(), chunk.tokens());
-    EXPECT_LE(chunk.tokens(), chunk_tokens);
-    for (int64_t s = 0; s < chunk.size(); ++s) {
-      const size_t caller = chunk.sequence[static_cast<size_t>(s)];
-      ASSERT_LT(caller, batch.size());
-      ++seen[caller];
-      const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-      const int64_t want = std::min<int64_t>(
-          static_cast<int64_t>(batch[caller].size()), max_seq_len);
-      EXPECT_EQ(t, want);
-      for (int64_t p = 0; p < t; ++p) {
-        EXPECT_EQ(chunk.ids[static_cast<size_t>(chunk.offsets[s] + p)],
-                  batch[caller][static_cast<size_t>(p)]);
-      }
-    }
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(PackByLengthTest, OversizeSequenceGetsItsOwnChunk) {
-  Rng rng(5);
-  std::vector<std::vector<int32_t>> batch =
-      RandomBatch({size_t{20}, size_t{3}, size_t{3}}, 50, rng);
-  // chunk_tokens is smaller than the first sequence: it must still be
-  // admitted, alone, rather than rejected.
-  std::vector<PackedChunk> chunks = PackByLength(Ptrs(batch), 32, 8);
-  bool found_oversize = false;
-  for (const PackedChunk& chunk : chunks) {
-    if (chunk.size() == 1 && chunk.sequence[0] == 0) {
-      EXPECT_EQ(chunk.tokens(), 20);
-      found_oversize = true;
-    } else {
-      EXPECT_LE(chunk.tokens(), 8);
-    }
-  }
-  EXPECT_TRUE(found_oversize);
-}
-
-TEST(PackByLengthTest, EqualLengthsPreserveSubmissionOrder) {
-  Rng rng(7);
-  std::vector<std::vector<int32_t>> batch =
-      RandomBatch(std::vector<size_t>(10, 4), 50, rng);
-  std::vector<PackedChunk> chunks = PackByLength(Ptrs(batch), 16, 1024);
-  ASSERT_EQ(chunks.size(), 1u);
-  // Stable sort on equal lengths: submission order survives.
-  for (size_t s = 0; s < 10; ++s) EXPECT_EQ(chunks[0].sequence[s], s);
-}
-
-TEST(PackByLengthTest, DeterministicAcrossCalls) {
-  Rng rng(23);
-  std::vector<size_t> lengths;
-  for (int i = 0; i < 64; ++i) {
-    lengths.push_back(static_cast<size_t>(rng.NextInt(1, 30)));
-  }
-  std::vector<std::vector<int32_t>> batch = RandomBatch(lengths, 80, rng);
-  std::vector<PackedChunk> a = PackByLength(Ptrs(batch), 24, 100);
-  std::vector<PackedChunk> b = PackByLength(Ptrs(batch), 24, 100);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t c = 0; c < a.size(); ++c) {
-    EXPECT_EQ(a[c].ids, b[c].ids);
-    EXPECT_EQ(a[c].offsets, b[c].offsets);
-    EXPECT_EQ(a[c].sequence, b[c].sequence);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Packed float path: bit-identical to the autograd evaluation path.
 
-/// Asserts PredictBatch matches the autograd Predict and the packed logits
-/// match the autograd ForwardLogits float-for-float (==, not NEAR).
-void ExpectPackedBitIdentical(const nn::TokenClassifier& model,
-                              const std::vector<std::vector<int32_t>>& batch,
-                              int64_t chunk_tokens) {
-  PackedEngineOptions options;
-  options.chunk_tokens = chunk_tokens;
-  PackedEngine packed(model, options);
-  const int64_t max_seq_len = packed.max_seq_len();
-
-  // Labels.
-  std::vector<std::vector<int32_t>> labels = packed.PredictBatch(Ptrs(batch));
-  ASSERT_EQ(labels.size(), batch.size());
+/// Asserts Predict matches the autograd Predict and Forward's logits match
+/// the autograd ForwardLogits float-for-float (==, not NEAR), for every
+/// sequence of `batch`.
+void ExpectBitIdentical(const nn::TokenClassifier& model,
+                        const std::vector<std::vector<int32_t>>& batch) {
+  const PackedEngine engine(model, PackedEngineOptions{});
+  const int64_t max_seq_len = engine.max_seq_len();
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].empty()) {
-      EXPECT_TRUE(labels[i].empty());
+    const std::vector<int32_t>& ids = batch[i];
+    const PackedEngine::Logits logits = engine.Forward(ids);
+    if (ids.empty()) {
+      EXPECT_TRUE(engine.Predict(ids).empty());
+      EXPECT_EQ(logits.rows, 0);
       continue;
     }
-    EXPECT_EQ(labels[i], model.Predict(batch[i])) << "sequence " << i;
-  }
-
-  // Full logits, chunk by chunk. ForwardLogits truncates to max_seq_len
-  // itself, like packing does.
-  std::vector<PackedChunk> chunks =
-      PackByLength(Ptrs(batch), max_seq_len, chunk_tokens);
-  for (const PackedChunk& chunk : chunks) {
-    PackedEngine::ChunkLogits logits = packed.ForwardChunk(chunk);
-    ASSERT_EQ(logits.cols, packed.logit_cols());
-    for (int64_t s = 0; s < chunk.size(); ++s) {
-      const size_t caller = chunk.sequence[static_cast<size_t>(s)];
-      const tensor::Var ref = model.ForwardLogits(batch[caller]);
-      const int64_t t = chunk.offsets[s + 1] - chunk.offsets[s];
-      ASSERT_EQ(ref->value().dim(0), t);
-      for (int64_t p = 0; p < t; ++p) {
-        const float* got =
-            logits.data + (chunk.offsets[s] + p) * logits.cols;
-        for (int64_t j = 0; j < packed.num_labels(); ++j) {
-          ASSERT_EQ(got[j], ref->value().at(p, j))
-              << "sequence " << caller << " token " << p << " label " << j;
-        }
-        // Padded columns are exactly zero by construction.
-        for (int64_t j = packed.num_labels(); j < logits.cols; ++j) {
-          ASSERT_EQ(got[j], 0.0f);
-        }
+    EXPECT_EQ(engine.Predict(ids), model.Predict(ids)) << "sequence " << i;
+    // ForwardLogits truncates to max_seq_len itself, like the engine.
+    const tensor::Var ref = model.ForwardLogits(ids);
+    const int64_t t =
+        std::min<int64_t>(static_cast<int64_t>(ids.size()), max_seq_len);
+    ASSERT_EQ(logits.rows, t);
+    ASSERT_EQ(ref->value().dim(0), t);
+    ASSERT_EQ(logits.cols, engine.logit_cols());
+    for (int64_t p = 0; p < t; ++p) {
+      const float* got = logits.data + p * logits.cols;
+      for (int64_t j = 0; j < engine.num_labels(); ++j) {
+        ASSERT_EQ(got[j], ref->value().at(p, j))
+            << "sequence " << i << " token " << p << " label " << j;
+      }
+      // Padded columns are exactly zero by construction.
+      for (int64_t j = engine.num_labels(); j < logits.cols; ++j) {
+        ASSERT_EQ(got[j], 0.0f);
       }
     }
   }
@@ -246,48 +110,22 @@ TEST(PackedEngineTest, FloatBitIdenticalAcrossSeedsAndLengths) {
     // A spread of lengths including max_seq_len and one past it
     // (truncation parity with the encoder's own truncation).
     std::vector<size_t> lengths = {1, 2, 3, 5, 7, 24, 9, 1, 16, 24, 30, 12};
-    std::vector<std::vector<int32_t>> batch =
-        RandomBatch(lengths, config.vocab_size, data_rng);
-    ExpectPackedBitIdentical(model, batch, /*chunk_tokens=*/48);
+    ExpectBitIdentical(model,
+                       RandomBatch(lengths, config.vocab_size, data_rng));
   }
 }
 
-TEST(PackedEngineTest, DegenerateBatchShapes) {
+TEST(PackedEngineTest, DegenerateSequenceShapes) {
   nn::TransformerConfig config = SmallArch();
   Rng init(3);
   nn::TokenClassifier model(config, /*num_labels=*/7, init);
   Rng data_rng(4);
-
-  // Empty batch.
-  PackedEngine packed(model, PackedEngineOptions{});
-  std::vector<const std::vector<int32_t>*> none;
-  EXPECT_TRUE(packed.PredictBatch(none).empty());
-
-  // Batch of one.
-  ExpectPackedBitIdentical(
-      model, RandomBatch({size_t{9}}, config.vocab_size, data_rng), 64);
-  // All single-token sequences.
-  ExpectPackedBitIdentical(
-      model, RandomBatch(std::vector<size_t>(17, 1), config.vocab_size,
-                         data_rng),
-      16);
-  // All-equal lengths.
-  ExpectPackedBitIdentical(
-      model, RandomBatch(std::vector<size_t>(12, 8), config.vocab_size,
-                         data_rng),
-      32);
-  // Everything at max_seq_len.
-  ExpectPackedBitIdentical(
-      model,
-      RandomBatch(std::vector<size_t>(
-                      5, static_cast<size_t>(config.max_seq_len)),
-                  config.vocab_size, data_rng),
-      48);
-  // Batch with empty sequences interleaved.
-  std::vector<std::vector<int32_t>> with_empty =
-      RandomBatch({size_t{4}, size_t{0}, size_t{6}, size_t{0}},
-                  config.vocab_size, data_rng);
-  ExpectPackedBitIdentical(model, with_empty, 64);
+  const size_t max_len = static_cast<size_t>(config.max_seq_len);
+  // Empty, single-token, max_seq_len, and far past it.
+  ExpectBitIdentical(
+      model, RandomBatch({size_t{0}, size_t{1}, size_t{1}, max_len,
+                          max_len * 3},
+                         config.vocab_size, data_rng));
 }
 
 // ---------------------------------------------------------------------------
@@ -309,19 +147,17 @@ TEST(PackedEngineTest, Int8LogitsCloseAndLabelsMostlyAgree) {
   }
   std::vector<std::vector<int32_t>> batch =
       RandomBatch(lengths, config.vocab_size, data_rng);
-  std::vector<PackedChunk> chunks =
-      PackByLength(Ptrs(batch), packed_float.max_seq_len(),
-                   packed_float.chunk_tokens());
 
   float max_diff = 0.0f;
   float max_abs_logit = 0.0f;
   int64_t tokens = 0;
   int64_t agree = 0;
-  for (const PackedChunk& chunk : chunks) {
-    PackedEngine::ChunkLogits f = packed_float.ForwardChunk(chunk);
-    PackedEngine::ChunkLogits q = packed_int8.ForwardChunk(chunk);
+  for (const std::vector<int32_t>& ids : batch) {
+    const PackedEngine::Logits f = packed_float.Forward(ids);
+    const PackedEngine::Logits q = packed_int8.Forward(ids);
     ASSERT_EQ(f.cols, q.cols);
-    for (int64_t p = 0; p < chunk.tokens(); ++p) {
+    ASSERT_EQ(f.rows, q.rows);
+    for (int64_t p = 0; p < f.rows; ++p) {
       const float* frow = f.data + p * f.cols;
       const float* qrow = q.data + p * q.cols;
       int64_t fbest = 0;
@@ -345,9 +181,10 @@ TEST(PackedEngineTest, Int8LogitsCloseAndLabelsMostlyAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Extractor-level parity: the packed ExtractAll path emits byte-identical
-// records to serial per-objective Extract() calls (one-member chunks), for
-// every thread count and in both precisions.
+// Extractor-level parity: ExtractAll and ExtractBatch are a map of
+// Extract(), so they emit byte-identical records to serial per-objective
+// Extract() calls for every thread count, in both precisions, and with
+// multi-target segmentation on.
 
 /// Per-objective Extract() over `objectives`, in order.
 std::vector<data::DetailRecord> ExtractEach(
@@ -361,6 +198,42 @@ std::vector<data::DetailRecord> ExtractEach(
   return records;
 }
 
+void ExpectSameRecords(const std::vector<data::DetailRecord>& got,
+                       const std::vector<data::DetailRecord>& expected,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), expected.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].objective_id, expected[i].objective_id) << what;
+    EXPECT_EQ(got[i].objective_text, expected[i].objective_text) << what;
+    EXPECT_EQ(got[i].fields, expected[i].fields)
+        << what << ", objective " << i;
+  }
+}
+
+/// ExtractAll at 1 and 4 threads, and ExtractBatch on a private and on a
+/// shared 4-thread pool, against per-objective Extract().
+void ExpectBatchPathsMatchExtract(const core::DetailExtractor& extractor,
+                                  const std::vector<data::Objective>& inputs,
+                                  const std::string& variant) {
+  const std::vector<data::DetailRecord> expected =
+      ExtractEach(extractor, inputs);
+  for (int32_t threads : {1, 4}) {
+    runtime::Stats stats;
+    ExpectSameRecords(extractor.ExtractAll(inputs, threads, &stats), expected,
+                      variant + " ExtractAll at " + std::to_string(threads) +
+                          " threads");
+    EXPECT_EQ(stats.items, inputs.size());
+    EXPECT_GT(stats.seconds, 0.0);
+  }
+  std::vector<const data::Objective*> ptrs;
+  for (const data::Objective& o : inputs) ptrs.push_back(&o);
+  ExpectSameRecords(extractor.ExtractBatch(ptrs, /*pool=*/nullptr), expected,
+                    variant + " ExtractBatch, private pool");
+  runtime::ThreadPool pool(4);
+  ExpectSameRecords(extractor.ExtractBatch(ptrs, &pool), expected,
+                    variant + " ExtractBatch, shared pool");
+}
+
 TEST(PackedExtractorTest, PackedExtractAllMatchesSerialExtract) {
   data::SustainabilityGoalsConfig corpus_config;
   corpus_config.objective_count = 240;
@@ -368,59 +241,50 @@ TEST(PackedExtractorTest, PackedExtractAllMatchesSerialExtract) {
       data::GenerateSustainabilityGoals(corpus_config);
   data::Split split = data::TrainTestSplit(corpus, 0.25, 3);
 
+  // Multi-target objectives, so segmentation splits clauses and merges
+  // their records.
+  data::SustainabilityGoalsConfig multi_config;
+  multi_config.objective_count = 180;
+  multi_config.multi_target_rate = 0.45;
+  multi_config.seed += 77;
+  const std::vector<data::Objective> multi =
+      data::GenerateSustainabilityGoals(multi_config);
+  segment::ObjectiveSegmenter segmenter;
+  size_t split_objectives = 0;
+  for (const data::Objective& o : multi) {
+    if (segmenter.Split(o.text).size() > 1) ++split_objectives;
+  }
+  ASSERT_GT(split_objectives, 10u);
+
   core::ExtractorConfig config;
   config.kinds = data::SustainabilityGoalKinds();
   config.bpe_merges = 1200;
   config.epochs = 3;
   core::DetailExtractor extractor(config);
   ASSERT_TRUE(extractor.Train(split.train).ok());
+  ExpectBatchPathsMatchExtract(extractor, split.test, "float");
 
-  const std::vector<data::DetailRecord> expected =
-      ExtractEach(extractor, split.test);
-
-  for (int32_t threads : {1, 4}) {
-    runtime::Stats stats;
-    std::vector<data::DetailRecord> got =
-        extractor.ExtractAll(split.test, threads, &stats);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].objective_id, expected[i].objective_id);
-      EXPECT_EQ(got[i].objective_text, expected[i].objective_text);
-      EXPECT_EQ(got[i].fields, expected[i].fields) << "objective " << i;
-    }
-    EXPECT_EQ(stats.items, split.test.size());
-    EXPECT_GT(stats.seconds, 0.0);
-  }
-
-  // ExtractBatch with a null pool is the same computation.
-  std::vector<const data::Objective*> ptrs;
-  for (const data::Objective& o : split.test) ptrs.push_back(&o);
-  std::vector<data::DetailRecord> batch =
-      extractor.ExtractBatch(ptrs, /*pool=*/nullptr);
-  ASSERT_EQ(batch.size(), expected.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].fields, expected[i].fields);
-  }
-
-  // The same weights in int8: Extract() and ExtractAll() run one engine,
-  // so they agree record for record in this precision too.
+  // The same weights in int8 and/or with segmentation on: every variant
+  // runs Extract() under the batch paths, so they agree record for record.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "goalex_infer_packed_int8";
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(extractor.Save(dir.string()).ok());
-  core::ExtractorConfig int8_config = config;
-  int8_config.quantize_int8 = true;
-  core::DetailExtractor int8_extractor(int8_config);
-  ASSERT_TRUE(int8_extractor.Load(dir.string()).ok());
-  std::filesystem::remove_all(dir);
-  const std::vector<data::DetailRecord> int8_each =
-      ExtractEach(int8_extractor, split.test);
-  const std::vector<data::DetailRecord> int8_all =
-      int8_extractor.ExtractAll(split.test, /*num_threads=*/4);
-  ASSERT_EQ(int8_all.size(), int8_each.size());
-  for (size_t i = 0; i < int8_all.size(); ++i) {
-    EXPECT_EQ(int8_all[i].fields, int8_each[i].fields) << "objective " << i;
+  for (bool int8 : {false, true}) {
+    for (bool segment : {false, true}) {
+      if (!int8 && !segment) continue;  // The trained extractor, above.
+      core::ExtractorConfig variant_config = config;
+      variant_config.quantize_int8 = int8;
+      variant_config.segment_multi_target = segment;
+      core::DetailExtractor variant(variant_config);
+      ASSERT_TRUE(variant.Load(dir.string()).ok());
+      const std::string name = std::string(int8 ? "int8" : "float") +
+                               (segment ? " segmented" : "");
+      ExpectBatchPathsMatchExtract(variant, split.test, name);
+      ExpectBatchPathsMatchExtract(variant, multi, name + " multi-target");
+    }
   }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

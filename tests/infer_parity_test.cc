@@ -3,9 +3,8 @@
 // float-identical — not just close, not just same argmax — to
 // ForwardLogits, for both heads (token and mean-pooled sequence), across
 // model families, random seeds, every sequence length up to and past
-// max_seq_len, one-member and multi-member chunks, and concurrent callers;
-// and the whole extractor must emit the word labels the autograd model
-// predicts. Parity holds by construction (the engine replays the forward
+// max_seq_len, and concurrent callers; and the whole extractor must emit
+// the word labels the autograd model predicts. Parity holds by construction (the engine replays the forward
 // kernels of tensor/forward.h with the same per-output float chains);
 // these tests pin it down end to end so a future kernel "optimization"
 // that reorders float math shows up as an exact diff.
@@ -33,8 +32,6 @@
 namespace goalex {
 namespace {
 
-using infer::PackByLength;
-using infer::PackedChunk;
 using infer::PackedEngine;
 using infer::PackedEngineOptions;
 
@@ -83,7 +80,7 @@ std::vector<int32_t> RandomIds(size_t len, int32_t vocab, Rng& rng) {
 }
 
 /// One sequence of every length 1..max_seq_len plus two past it
-/// (truncation), shuffled so packing has to reorder them.
+/// (truncation).
 std::vector<std::vector<int32_t>> EveryLength(
     const nn::TransformerConfig& config, Rng& rng) {
   std::vector<std::vector<int32_t>> batch;
@@ -91,16 +88,7 @@ std::vector<std::vector<int32_t>> EveryLength(
     batch.push_back(
         RandomIds(static_cast<size_t>(len), config.vocab_size, rng));
   }
-  rng.Shuffle(batch);
   return batch;
-}
-
-std::vector<const std::vector<int32_t>*> Ptrs(
-    const std::vector<std::vector<int32_t>>& batch) {
-  std::vector<const std::vector<int32_t>*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const std::vector<int32_t>& seq : batch) ptrs.push_back(&seq);
-  return ptrs;
 }
 
 /// The autograd oracle's labels: per token, or one class per sequence.
@@ -122,15 +110,13 @@ std::vector<float> OracleLogits(const Model& model,
   return std::vector<float>(data, data + logits->value().numel());
 }
 
-/// True when `ids` run as a one-member chunk reproduces `expected` (its
+/// True when the engine's logits for `ids` reproduce `expected` (its
 /// OracleLogits) float for float, ignoring the head's zero padding.
-bool OneMemberChunkMatches(const PackedEngine& engine,
-                           const std::vector<int32_t>& ids,
-                           const std::vector<float>& expected) {
-  const PackedChunk chunk =
-      PackByLength({&ids}, engine.max_seq_len(), engine.chunk_tokens())[0];
-  const PackedEngine::ChunkLogits logits = engine.ForwardChunk(chunk);
+bool ForwardMatches(const PackedEngine& engine, const std::vector<int32_t>& ids,
+                    const std::vector<float>& expected) {
+  const PackedEngine::Logits logits = engine.Forward(ids);
   const size_t cols = static_cast<size_t>(engine.num_labels());
+  if (static_cast<size_t>(logits.rows) * cols != expected.size()) return false;
   for (size_t k = 0; k < expected.size(); ++k) {
     const size_t row = k / cols;
     if (logits.data[row * static_cast<size_t>(logits.cols) + k % cols] !=
@@ -142,59 +128,35 @@ bool OneMemberChunkMatches(const PackedEngine& engine,
 }
 
 /// ASSERTs float identity (==, not NEAR) between the engine's logits for
-/// every member of every chunk of `batch` and the member's autograd eval
-/// logits, and label identity through PredictBatch. A token head owns its
-/// members' token rows; a sequence head one pooled row per member.
+/// every sequence of `batch` and its autograd eval logits, and label
+/// identity through Predict. A token head has one row per token, a
+/// sequence head one pooled row.
 template <typename Model>
-void ExpectPackedMatchesAutograd(
+void ExpectEngineMatchesAutograd(
     const Model& model, const PackedEngine& engine,
     const std::vector<std::vector<int32_t>>& batch) {
-  constexpr bool kPooled = std::is_same_v<Model, nn::SequenceClassifier>;
-  for (const PackedChunk& chunk : PackByLength(
-           Ptrs(batch), engine.max_seq_len(), engine.chunk_tokens())) {
-    const PackedEngine::ChunkLogits logits = engine.ForwardChunk(chunk);
+  for (const std::vector<int32_t>& ids : batch) {
+    const PackedEngine::Logits logits = engine.Forward(ids);
     ASSERT_EQ(logits.cols, engine.logit_cols());
-    for (int64_t s = 0; s < chunk.size(); ++s) {
-      const std::vector<int32_t>& ids = batch[chunk.sequence[s]];
-      const tensor::Var expected = model.ForwardLogits(ids);
-      const int64_t rows = expected->value().dim(0);
-      ASSERT_EQ(rows, kPooled ? 1 : chunk.offsets[s + 1] - chunk.offsets[s]);
-      ASSERT_EQ(expected->value().dim(1), engine.num_labels());
-      const int64_t first = kPooled ? s : chunk.offsets[s];
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* got = logits.data + (first + r) * logits.cols;
-        const float* want =
-            expected->value().data() + r * engine.num_labels();
-        for (int64_t j = 0; j < engine.num_labels(); ++j) {
-          ASSERT_EQ(got[j], want[j]) << "T=" << ids.size() << " row " << r
-                                     << " label " << j;
-        }
-        // Padded columns are exactly zero by construction.
-        for (int64_t j = engine.num_labels(); j < logits.cols; ++j) {
-          ASSERT_EQ(got[j], 0.0f);
-        }
+    const tensor::Var expected = model.ForwardLogits(ids);
+    const int64_t rows = expected->value().dim(0);
+    ASSERT_EQ(logits.rows, rows);
+    ASSERT_EQ(expected->value().dim(1), engine.num_labels());
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* got = logits.data + r * logits.cols;
+      const float* want = expected->value().data() + r * engine.num_labels();
+      for (int64_t j = 0; j < engine.num_labels(); ++j) {
+        ASSERT_EQ(got[j], want[j]) << "T=" << ids.size() << " row " << r
+                                   << " label " << j;
+      }
+      // Padded columns are exactly zero by construction.
+      for (int64_t j = engine.num_labels(); j < logits.cols; ++j) {
+        ASSERT_EQ(got[j], 0.0f);
       }
     }
+    EXPECT_EQ(engine.Predict(ids), OracleLabels(model, ids))
+        << "T=" << ids.size();
   }
-  const std::vector<std::vector<int32_t>> labels =
-      engine.PredictBatch(Ptrs(batch));
-  ASSERT_EQ(labels.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(labels[i], OracleLabels(model, batch[i])) << "sequence " << i;
-  }
-}
-
-/// Both chunk shapes the extractor runs: chunk_tokens = 1 makes every
-/// sequence an oversize one-member chunk (what Extract() and the detector
-/// run), the default packs many members per chunk (ExtractAll).
-template <typename Model>
-void ExpectBothChunkShapesMatch(
-    const Model& model, const std::vector<std::vector<int32_t>>& batch) {
-  PackedEngineOptions one_member;
-  one_member.chunk_tokens = 1;
-  ExpectPackedMatchesAutograd(model, PackedEngine(model, one_member), batch);
-  ExpectPackedMatchesAutograd(model, PackedEngine(model, PackedEngineOptions{}),
-                              batch);
 }
 
 TEST(InferParityTest, TokenClassifierBitIdenticalAcrossConfigsAndSeeds) {
@@ -203,7 +165,9 @@ TEST(InferParityTest, TokenClassifierBitIdenticalAcrossConfigsAndSeeds) {
       Rng init(seed);
       nn::TokenClassifier model(config, /*num_labels=*/5, init);
       Rng data_rng(seed + 1);
-      ExpectBothChunkShapesMatch(model, EveryLength(config, data_rng));
+      ExpectEngineMatchesAutograd(model,
+                                  PackedEngine(model, PackedEngineOptions{}),
+                                  EveryLength(config, data_rng));
     }
   }
 }
@@ -214,7 +178,9 @@ TEST(InferParityTest, SequenceClassifierBitIdenticalAcrossConfigsAndSeeds) {
       Rng init(seed);
       nn::SequenceClassifier model(config, /*num_classes=*/3, init);
       Rng data_rng(seed + 1);
-      ExpectBothChunkShapesMatch(model, EveryLength(config, data_rng));
+      ExpectEngineMatchesAutograd(model,
+                                  PackedEngine(model, PackedEngineOptions{}),
+                                  EveryLength(config, data_rng));
     }
   }
 }
@@ -229,11 +195,13 @@ TEST(InferParityTest, TruncatesLongInputIdentically) {
   std::vector<std::vector<int32_t>> batch = {
       RandomIds(static_cast<size_t>(config.max_seq_len) * 3,
                 config.vocab_size, data_rng)};
-  PackedEngine engine(token_model, PackedEngineOptions{});
-  EXPECT_EQ(engine.PredictBatch(Ptrs(batch))[0].size(),
+  const PackedEngine token_engine(token_model, PackedEngineOptions{});
+  EXPECT_EQ(token_engine.Predict(batch[0]).size(),
             static_cast<size_t>(config.max_seq_len));
-  ExpectBothChunkShapesMatch(token_model, batch);
-  ExpectBothChunkShapesMatch(sequence_model, batch);
+  ExpectEngineMatchesAutograd(token_model, token_engine, batch);
+  ExpectEngineMatchesAutograd(
+      sequence_model, PackedEngine(sequence_model, PackedEngineOptions{}),
+      batch);
 }
 
 TEST(InferParityTest, EmptyInputYieldsEmptyOutput) {
@@ -247,17 +215,16 @@ TEST(InferParityTest, EmptyInputYieldsEmptyOutput) {
   for (const PackedEngine& engine :
        {PackedEngine(token_model, PackedEngineOptions{}),
         PackedEngine(sequence_model, PackedEngineOptions{})}) {
-    std::vector<std::vector<int32_t>> labels = engine.PredictBatch({&empty});
-    ASSERT_EQ(labels.size(), 1u);
-    EXPECT_TRUE(labels[0].empty());
-    EXPECT_TRUE(engine.ForwardChunk(PackedChunk{}).data == nullptr);
+    EXPECT_TRUE(engine.Predict(empty).empty());
+    const PackedEngine::Logits logits = engine.Forward(empty);
+    EXPECT_EQ(logits.rows, 0);
+    EXPECT_TRUE(logits.data == nullptr);
   }
 }
 
 TEST(InferParityTest, ConcurrentExecutionIsBitIdentical) {
-  // One shared engine per head, 8 threads calling it at once with
-  // one-member chunks: every thread must see exactly the autograd logits
-  // for its own inputs.
+  // One shared engine per head, 8 threads calling it at once: every
+  // thread must see exactly the autograd logits for its own inputs.
   nn::TransformerConfig config = ParityConfigs()[2];
   Rng init(21);
   nn::TokenClassifier token_model(config, 6, init);
@@ -283,9 +250,8 @@ TEST(InferParityTest, ConcurrentExecutionIsBitIdentical) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < inputs.size(); i += 8) {
-        if (!OneMemberChunkMatches(token_engine, inputs[i], token_logits[i]) ||
-            !OneMemberChunkMatches(sequence_engine, inputs[i],
-                                   sequence_logits[i])) {
+        if (!ForwardMatches(token_engine, inputs[i], token_logits[i]) ||
+            !ForwardMatches(sequence_engine, inputs[i], sequence_logits[i])) {
           ++mismatches;
         }
       }
@@ -306,15 +272,15 @@ TEST(InferParityTest, EncoderWeightsStayBorrowedNotCopied) {
   nn::TokenClassifier model(config, 4, init);
   const PackedEngine engine(model, PackedEngineOptions{});
   const std::vector<std::vector<int32_t>> batch = {{5, 9, 13}};
-  ExpectPackedMatchesAutograd(model, engine, batch);
+  ExpectEngineMatchesAutograd(model, engine, batch);
 
   float* beta = model.encoder().final_beta()->mutable_value().data();
   beta[0] += 10.0f;  // Mutate in place, as the optimizer does.
-  ExpectPackedMatchesAutograd(model, engine, batch);
+  ExpectEngineMatchesAutograd(model, engine, batch);
 
   float* head_bias = model.head().bias()->mutable_value().data();
   head_bias[0] += 10.0f;
-  ExpectPackedMatchesAutograd(model, PackedEngine(model, PackedEngineOptions{}),
+  ExpectEngineMatchesAutograd(model, PackedEngine(model, PackedEngineOptions{}),
                               batch);
 }
 

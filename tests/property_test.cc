@@ -352,24 +352,6 @@ TEST(BpeEncodeProperty, CompiledEncoderMatchesStringKeyedReference) {
   EXPECT_GE(words_checked, 100000u);
 }
 
-// A hand-built model that lists the pair (b, c) twice: the later rank (2)
-// replaces the first (0), so "abc" joins a+b first. The reference search
-// also never reaches a rank at or past the number of distinct pairs, so
-// (b, c) never applies at all; the compiled encoder keeps both behaviours.
-TEST(BpeEncodeProperty, PairListedTwiceKeepsItsLaterRank) {
-  const std::string blob =
-      "bpe_v1\n0\n3\nb\x1F" "c\na\x1F" "b\nb\x1F" "c\n9\na\nb\nc\nbc\nab\n";
-  auto model = bpe::BpeModel::Deserialize(blob);
-  ASSERT_TRUE(model.ok()) << model.status();
-  const ReferenceBpe reference(*model);
-  const std::vector<std::string> words = {"abc", "bc", "cab", "abcbc", "cc"};
-  const std::vector<bpe::Subword> got = model->EncodeWords(words);
-  EXPECT_TRUE(SameSubwords(got, reference.EncodeWords(words)));
-  ASSERT_GE(got.size(), 2u);
-  EXPECT_EQ(got[0].text, "ab");
-  EXPECT_EQ(got[1].text, "c");
-}
-
 // A character outside the alphabet becomes <unk> but never merges, even
 // with a hand-built rule whose left part is the "<unk>" token itself.
 TEST(BpeEncodeProperty, OutOfAlphabetCharactersNeverMerge) {

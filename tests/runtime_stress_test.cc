@@ -1,228 +1,20 @@
-// Stress and edge-case tests for the parallel batched runtime, beyond the
-// semantics covered by runtime_test.cc: degenerate batch shapes, exception
-// propagation out of Map, ordering under heavy jittered fan-out, and the
-// queue-depth/utilization instrumentation. Runs under GOALEX_ENABLE_TSAN.
-#include "runtime/batch_runner.h"
+// Stress and edge-case tests for the thread pool, beyond the semantics
+// covered by runtime_test.cc: error delivery when a captured task error is
+// never waited on, is raised inline on a serial pool, or is one of many,
+// and concurrent submitters. The fan-out contracts of the order-preserving
+// map (exec::ParallelMap) live in exec_test.cc. Runs under
+// GOALEX_ENABLE_TSAN.
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <random>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace goalex::runtime {
 namespace {
-
-TEST(BatchRunnerEdgeTest, EmptyInputProducesEmptyOutput) {
-  for (int threads : {1, 4}) {
-    BatchRunner runner(threads);
-    std::atomic<int> calls{0};
-    std::vector<int> out = runner.Map<int>(0, [&calls](size_t) {
-      calls.fetch_add(1);
-      return 0;
-    });
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(calls.load(), 0);
-    EXPECT_EQ(runner.last_stats().items, 0u);
-  }
-}
-
-TEST(BatchRunnerEdgeTest, MoreThreadsThanItems) {
-  // 16 workers, 3 items: the partition must not create empty or
-  // overlapping chunks.
-  BatchRunner runner(16);
-  std::vector<int> out =
-      runner.Map<int>(3, [](size_t i) { return static_cast<int>(i) + 10; });
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], 10);
-  EXPECT_EQ(out[1], 11);
-  EXPECT_EQ(out[2], 12);
-}
-
-TEST(BatchRunnerEdgeTest, SingleItemBatch) {
-  for (int threads : {1, 2, 16}) {
-    BatchRunner runner(threads);
-    std::vector<std::string> out = runner.Map<std::string>(
-        1, [](size_t i) { return "item-" + std::to_string(i); });
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], "item-0");
-  }
-}
-
-TEST(BatchRunnerEdgeTest, WorkItemExceptionPropagatesFromMap) {
-  BatchRunner runner(4);
-  EXPECT_THROW(runner.Map<int>(100,
-                               [](size_t i) -> int {
-                                 if (i == 57) {
-                                   throw std::runtime_error("item 57 broke");
-                                 }
-                                 return static_cast<int>(i);
-                               }),
-               std::runtime_error);
-
-  // The runner (and its pool) survives: the next Map is complete and
-  // correct, and the stored exception does not leak into it.
-  std::vector<int> out =
-      runner.Map<int>(100, [](size_t i) { return static_cast<int>(i); });
-  ASSERT_EQ(out.size(), 100u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(out[i], static_cast<int>(i));
-  }
-}
-
-TEST(BatchRunnerEdgeTest, ExceptionInSerialModePropagatesToo) {
-  BatchRunner runner(1);
-  EXPECT_THROW(runner.Map<int>(10,
-                               [](size_t i) -> int {
-                                 if (i == 3) throw std::invalid_argument("x");
-                                 return 0;
-                               }),
-               std::invalid_argument);
-}
-
-TEST(BatchRunnerStressTest, OrderingHoldsUnder16ThreadsWithJitter) {
-  // Jittered task durations make chunks finish far out of order; the
-  // output must still be exactly input-ordered. This is the scenario the
-  // TSAN job watches: 16 workers writing disjoint slices of one vector.
-  BatchRunner runner(16);
-  constexpr size_t kItems = 2000;
-  std::vector<uint64_t> out = runner.Map<uint64_t>(kItems, [](size_t i) {
-    // Deterministic per-item jitter: spin between 0 and ~40us.
-    std::mt19937_64 rng(i);
-    uint64_t spin = rng() % 400;
-    uint64_t acc = i;
-    for (uint64_t k = 0; k < spin; ++k) acc = acc * 6364136223846793005ULL + k;
-    if (spin % 7 == 0) std::this_thread::yield();
-    return static_cast<uint64_t>(i) * 2 + 1;
-  });
-  ASSERT_EQ(out.size(), kItems);
-  for (size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(out[i], static_cast<uint64_t>(i) * 2 + 1) << "index " << i;
-  }
-}
-
-TEST(BatchRunnerStressTest, RepeatedMapsOnOneRunnerStayExact) {
-  BatchRunner runner(8);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<uint64_t> sum{0};
-    size_t n = static_cast<size_t>(round) * 7 % 97;  // Varying batch sizes.
-    runner.Map<int>(n, [&sum](size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-      return 0;
-    });
-    EXPECT_EQ(sum.load(), n == 0 ? 0 : n * (n - 1) / 2) << "round " << round;
-    EXPECT_EQ(runner.last_stats().items, n);
-  }
-}
-
-TEST(BatchRunnerStressTest, ManyConcurrentRunnersDoNotInterfere) {
-  // Four runners on four caller threads, each mapping its own range: the
-  // shared metrics registry is the only common state, and results must be
-  // independent.
-  constexpr int kRunners = 4;
-  std::vector<std::thread> callers;
-  std::vector<uint64_t> checksums(kRunners, 0);
-  for (int r = 0; r < kRunners; ++r) {
-    callers.emplace_back([r, &checksums] {
-      BatchRunner runner(4);
-      std::vector<uint64_t> out = runner.Map<uint64_t>(
-          500, [r](size_t i) { return static_cast<uint64_t>(r) * 1000 + i; });
-      uint64_t sum = 0;
-      for (uint64_t v : out) sum += v;
-      checksums[static_cast<size_t>(r)] = sum;
-    });
-  }
-  for (std::thread& caller : callers) caller.join();
-  for (int r = 0; r < kRunners; ++r) {
-    // sum over i of (r * 1000 + i), i in [0, 500).
-    uint64_t expected =
-        static_cast<uint64_t>(r) * 1000 * 500 + 500 * 499 / 2;
-    EXPECT_EQ(checksums[static_cast<size_t>(r)], expected) << "runner " << r;
-  }
-}
-
-TEST(BatchRunnerInstrumentationTest, QueueDrainsAndMetricsAccumulate) {
-  if (!obs::Active()) GTEST_SKIP() << "metrics compiled out";
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  registry.Reset();
-
-  BatchRunner runner(8);
-  runner.Map<int>(64, [](size_t i) {
-    std::this_thread::yield();
-    return static_cast<int>(i);
-  });
-
-  // All tasks drained: queue depth gauge must be back at zero, and the
-  // batch counters must reflect exactly one recorded batch of 64 items.
-  EXPECT_DOUBLE_EQ(registry.GetGauge("runtime.pool.queue_depth")->Value(),
-                   0.0);
-  EXPECT_EQ(registry.GetCounter("runtime.batches")->Value(), 1u);
-  obs::HistogramSnapshot items =
-      registry.GetHistogram("runtime.batch.items", obs::DefaultSizeBounds())
-          ->Snapshot();
-  EXPECT_EQ(items.count, 1u);
-  EXPECT_DOUBLE_EQ(items.sum, 64.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("runtime.batch.threads")->Value(), 8.0);
-  // Utilization is a ratio in (0, 1]; with yielding workers it may be low
-  // but can never exceed 1 by more than scheduler measurement noise.
-  double utilization =
-      registry.GetGauge("runtime.batch.utilization")->Value();
-  EXPECT_GE(utilization, 0.0);
-  EXPECT_LE(utilization, 1.05);
-  registry.Reset();
-}
-
-TEST(BatchRunnerInstrumentationTest, DisabledRuntimeRecordsNothing) {
-  if (!obs::kMetricsCompiled) GTEST_SKIP() << "metrics compiled out";
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  obs::SetEnabled(false);
-  registry.Reset();
-  BatchRunner runner(4);
-  runner.Map<int>(32, [](size_t i) { return static_cast<int>(i); });
-  obs::SetEnabled(true);
-  EXPECT_EQ(registry.GetCounter("runtime.batches")->Value(), 0u);
-  EXPECT_EQ(registry.GetCounter("runtime.pool.tasks")->Value(), 0u);
-}
-
-TEST(BatchRunnerInstrumentationTest, SingleChunkRunOnMultiThreadPoolHasUtilization) {
-  // Regression: ParallelFor with a single chunk used to run it inline
-  // without busy-seconds accounting, so runtime.batch.utilization read ~0
-  // for every small batch on a multi-thread pool even though the guard
-  // (threads > 1) passed.
-  if (!obs::Active()) GTEST_SKIP() << "metrics compiled out";
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  registry.Reset();
-
-  BatchRunner runner(4);
-  runner.Map<int>(1, [](size_t) {
-    // Busy-spin ~2ms so the chunk's busy time dominates clock noise.
-    auto until = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(2);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    return 0;
-  });
-
-  double utilization =
-      registry.GetGauge("runtime.batch.utilization")->Value();
-  // One busy chunk on a 4-thread pool: utilization ~0.25. Anything
-  // strictly positive proves the inline chunk was accounted; the upper
-  // bound guards against double-counting.
-  EXPECT_GT(utilization, 0.05);
-  EXPECT_LE(utilization, 1.05);
-  // Since the task-graph refactor the inline chunk is an executor node
-  // (a one-node graph runs serially on the calling thread), so it shows
-  // up in the executor's node counter rather than the pool's.
-  EXPECT_EQ(registry.GetCounter("exec.nodes")->Value(), 1u);
-  registry.Reset();
-}
 
 TEST(ThreadPoolErrorDeliveryTest, DestructorLogsAndDropsUnretrievedError) {
   // Fire-and-forget Submit whose error is never retrieved by Wait(): the
@@ -258,35 +50,6 @@ TEST(ThreadPoolErrorDeliveryTest, OnlyFirstErrorIsDelivered) {
   }
   EXPECT_THROW(pool.Wait(), std::runtime_error);
   pool.Wait();  // Later errors were not queued up behind the first.
-}
-
-TEST(ThreadPoolErrorDeliveryTest, ParallelForInlineChunkErrorPropagates) {
-  // The single-chunk inline path propagates the chunk's own exception
-  // directly to the caller, without parking it in first_error_.
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(1,
-                       [](size_t, size_t) {
-                         throw std::runtime_error("inline chunk");
-                       }),
-      std::runtime_error);
-  // Nothing was captured: the next Wait() is clean.
-  pool.Wait();
-}
-
-TEST(ThreadPoolErrorDeliveryTest, SingleChunkParallelForIgnoresUnrelatedErrors) {
-  // Regression: the single-chunk path used to route through Wait(), which
-  // both stalled behind unrelated in-flight Submit() work and rethrew an
-  // earlier unrelated task's captured error as if the chunk had failed.
-  ThreadPool pool(4);
-  pool.Submit([] { throw std::runtime_error("unrelated"); });
-  // Whether or not the unrelated error has been captured yet, a clean
-  // chunk must return normally...
-  std::atomic<bool> ran{false};
-  pool.ParallelFor(1, [&ran](size_t, size_t) { ran = true; });
-  EXPECT_TRUE(ran.load());
-  // ...and the unrelated error is still delivered by the next Wait().
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
 }
 
 TEST(ThreadPoolStressTest, ConcurrentSubmittersAllExecute) {

@@ -1,13 +1,13 @@
 // Tests of the parallel runtime layer: ThreadPool scheduling/exception
-// semantics and BatchRunner's deterministic, order-preserving mapping.
-#include "runtime/batch_runner.h"
+// semantics and the Stats throughput counters. The order-preserving map
+// built on the pool (exec::ParallelMap) is tested in exec_test.cc.
+#include "runtime/stats.h"
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
-#include <vector>
 
 namespace goalex::runtime {
 namespace {
@@ -35,85 +35,10 @@ TEST(ThreadPoolTest, SubmitRunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
-  for (int threads : {1, 2, 4, 7}) {
-    ThreadPool pool(threads);
-    constexpr size_t kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.ParallelFor(kN, [&hits](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " with " << threads
-                                   << " threads";
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(4);
-  bool called = false;
-  pool.ParallelFor(0, [&called](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesWithoutDeadlock) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(100,
-                       [](size_t begin, size_t) {
-                         if (begin == 0) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-  // The pool survives a throwing batch: subsequent work runs normally and
-  // the stored exception does not leak into the next Wait().
-  std::atomic<int> counter{0};
-  pool.ParallelFor(100, [&counter](size_t begin, size_t end) {
-    counter.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, SerialPoolPropagatesExceptionFromWait) {
   ThreadPool pool(1);
   pool.Submit([] { throw std::runtime_error("inline boom"); });
   EXPECT_THROW(pool.Wait(), std::runtime_error);
-}
-
-TEST(BatchRunnerTest, MapPreservesOrder) {
-  for (int threads : {1, 4}) {
-    BatchRunner runner(threads);
-    std::vector<int> out =
-        runner.Map<int>(257, [](size_t i) { return static_cast<int>(i) * 3; });
-    ASSERT_EQ(out.size(), 257u);
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], static_cast<int>(i) * 3);
-    }
-  }
-}
-
-TEST(BatchRunnerTest, SerialAndParallelResultsIdentical) {
-  auto work = [](size_t i) {
-    // Uneven per-item cost so chunks finish out of order.
-    size_t acc = i;
-    for (size_t k = 0; k < (i % 17) * 100; ++k) acc = acc * 31 + k;
-    return acc;
-  };
-  BatchRunner serial(1);
-  BatchRunner parallel(4);
-  std::vector<size_t> a = serial.Map<size_t>(500, work);
-  std::vector<size_t> b = parallel.Map<size_t>(500, work);
-  EXPECT_EQ(a, b);
-}
-
-TEST(BatchRunnerTest, StatsReflectRun) {
-  BatchRunner runner(2);
-  runner.Map<int>(50, [](size_t i) { return static_cast<int>(i); });
-  const Stats& stats = runner.last_stats();
-  EXPECT_EQ(stats.items, 50u);
-  EXPECT_GE(stats.seconds, 0.0);
-  EXPECT_EQ(stats.threads, 2);
-  EXPECT_FALSE(stats.ToString().empty());
 }
 
 TEST(StatsTest, AccumulationAddsItemsAndTimeKeepsMaxThreads) {
